@@ -110,7 +110,7 @@ use crate::admission::{
 use crate::headroom::GpuPool;
 use crate::job::{JobClass, JobSpec, SplitMix64};
 use crate::policy::CostClass;
-use crate::predict::{key_of, FootprintPredictor, FootprintSample};
+use crate::predict::{key_of, FootprintPredictor, FootprintSample, PredictedFootprint};
 use crate::stats::{
     ClusterStats, ClusterTransfer, GpuStats, JobEvent, JobEventKind, JobOutcome, JobState,
     JobStats, JobStatus, STATS_SCHEMA_VERSION,
@@ -399,37 +399,12 @@ impl ClusterConfigBuilder {
     }
 }
 
-/// Host-side checkpoint of a preempted job: everything the cluster needs
-/// to resume the replay on any GPU set. This is the replay-level mirror
-/// of [`capuchin_executor::EngineSnapshot`] — the iteration cursor plus
-/// the validated per-iteration replay trace and the budget it was
-/// validated at.
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    /// Completed iterations: the resume point. The interrupted iteration
-    /// was discarded and is redone after restore.
-    iters_done: u64,
-    /// Per-replica reservation the replay was validated at; resume
-    /// regrants exactly this on every replica, so no re-validation is
-    /// needed.
-    reserved: u64,
-    /// Whether that reservation was a shrunk grant.
-    shrunk: bool,
-    /// Validated per-iteration replay trace (shared with the validation
-    /// cache — checkpointing never copies the trace).
-    replay: Arc<Vec<ReplayIter>>,
-    /// Global batch in effect when the checkpoint was taken (may be an
-    /// elastically reduced batch).
-    cur_batch: usize,
-    /// Samples trained as of the checkpoint; resume continues the count.
-    samples_done: u64,
-}
-
 /// An in-flight elastic batch change: decided at a completed-iteration
 /// boundary, applied when the checkpoint + restore copies drain
-/// (`EV_REGROW`). The new reservation is claimed immediately so the copy
-/// window cannot over-commit; the replay swap happens at the event.
-#[derive(Debug, Clone)]
+/// ([`EventKind::Regrow`]). The new reservation is claimed immediately so
+/// the copy window cannot over-commit; the replay swap happens at the
+/// event.
+#[derive(Debug)]
 struct Regrow {
     /// The new global batch.
     batch: usize,
@@ -437,6 +412,50 @@ struct Regrow {
     shrunk: bool,
     /// Validated replay trace at the new batch and grant.
     replay: Arc<Vec<ReplayIter>>,
+}
+
+/// Where a job is in its lifecycle. Each variant is one legal state;
+/// DESIGN.md §8 tabulates the public [`JobState`]/[`JobOutcome`] each
+/// maps to and the events legal in each.
+#[derive(Debug)]
+enum Phase {
+    /// Submitted and waiting for its arrival to process, or waiting for
+    /// placement.
+    Queued,
+    /// Resident with an iteration's compute (or a serving round) in
+    /// flight: [`EventKind::IterEnd`] is scheduled.
+    Running,
+    /// Resident with no compute in flight: the iteration-boundary
+    /// communication drains ([`EventKind::Comm`]), or an idle serving job
+    /// waits for requests.
+    Barrier,
+    /// A whole-gang device-to-host checkpoint copy drains
+    /// ([`EventKind::Preempt`], or [`EventKind::Remeasure`] after a
+    /// mispredict).
+    Checkpointing,
+    /// Checkpointed to the host at `since`: queued to resume, or resident
+    /// again while the restore copy drains ([`EventKind::Resume`]). The
+    /// checkpoint is the job's own replay cursor (iterations, samples,
+    /// batch, replay trace and per-replica reservation), which nothing
+    /// touches in this phase, so resume regrants `reserved` verbatim
+    /// with no re-validation.
+    Preempted { since: Time },
+    /// An elastic batch change's copies drain ([`EventKind::Regrow`]).
+    Regrowing(Regrow),
+    /// Terminal: completed, rejected, aborted or cancelled.
+    Done(JobOutcome),
+}
+
+impl Phase {
+    /// The stats outcome: terminal phases report their own, checkpointed
+    /// jobs are `Preempted`, and anything else still live is `Starved`.
+    fn outcome(&self) -> JobOutcome {
+        match self {
+            Phase::Done(outcome) => *outcome,
+            Phase::Checkpointing | Phase::Preempted { .. } => JobOutcome::Preempted,
+            _ => JobOutcome::Starved,
+        }
+    }
 }
 
 /// Per-job simulation state.
@@ -458,14 +477,7 @@ struct JobRun {
     /// batch it was attempted at (elastic jobs validate at several
     /// batches); never retried at or below the recorded budget.
     failed: BTreeMap<usize, u64>,
-    rejected: bool,
-    /// Replay became impossible mid-run (empty replay trace): the job was
-    /// evicted and counted as a mid-run abort.
-    aborted: bool,
-    /// Cancelled through the online API ([`Cluster::cancel`]). Events
-    /// already in the heap are dead: the arrival by this flag, scheduled
-    /// events by the epoch bump taken at cancel time.
-    cancelled: bool,
+    phase: Phase,
     /// GPUs currently held — the whole gang, in placement order. Kept
     /// after completion for stats; cleared on preemption and abort.
     /// Always empty or exactly `spec.gpus` long: grants are atomic.
@@ -474,6 +486,7 @@ struct JobRun {
     reserved: u64,
     shrunk: bool,
     admitted_at: Option<Time>,
+    /// Completion instant (the phase says whether the job is done).
     finished_at: Option<Time>,
     replay: Arc<Vec<ReplayIter>>,
     iters_done: u64,
@@ -503,15 +516,10 @@ struct JobRun {
     reduced_since: Option<Time>,
     /// Accumulated wall time spent training below the requested batch.
     elastic_reduced_time: Duration,
-    /// A decided batch change waiting for its copies to drain.
-    pending_regrow: Option<Regrow>,
     /// Bumped whenever scheduled events for this job become stale
     /// (re-pricing, preemption, abort); events carry the epoch they were
     /// scheduled under and are skipped on mismatch.
     epoch: u64,
-    /// An iteration's compute is in flight (false while the gang barrier
-    /// communicates, checkpoints or restores).
-    iterating: bool,
     /// Base (1×) wall of the in-flight iteration.
     iter_wall: Duration,
     /// Contention factor in effect since `iter_priced_at`.
@@ -522,11 +530,6 @@ struct JobRun {
     iter_priced_at: Time,
     /// Fraction of the base wall completed as of `iter_priced_at`.
     iter_progress: f64,
-    /// A checkpoint copy is draining (EV_PREEMPT scheduled).
-    preempting: bool,
-    checkpoint: Option<Checkpoint>,
-    /// When the live checkpoint completed (cleared on resume).
-    preempted_at: Option<Time>,
     preemptions: u64,
     wasted_work: Duration,
     resume_latency: Duration,
@@ -629,9 +632,7 @@ impl JobRun {
             footprint: 0,
             grad_bytes: 0,
             failed: BTreeMap::new(),
-            rejected: false,
-            aborted: false,
-            cancelled: false,
+            phase: Phase::Queued,
             gpus_held: Vec::new(),
             reserved: 0,
             shrunk: false,
@@ -647,17 +648,12 @@ impl JobRun {
             rebatches: 0,
             reduced_since: None,
             elastic_reduced_time: Duration::ZERO,
-            pending_regrow: None,
             epoch: 0,
-            iterating: false,
             iter_wall: Duration::ZERO,
             iter_k: 1.0,
             iter_started: Time::ZERO,
             iter_priced_at: Time::ZERO,
             iter_progress: 0.0,
-            preempting: false,
-            checkpoint: None,
-            preempted_at: None,
             preemptions: 0,
             wasted_work: Duration::ZERO,
             resume_latency: Duration::ZERO,
@@ -700,28 +696,95 @@ impl JobRun {
     /// for exactly its validated reservation back — no re-validation, no
     /// shrink search.
     fn candidate(&self, idx: usize) -> CandidateJob {
-        match &self.checkpoint {
-            Some(cp) => CandidateJob {
-                job: idx,
-                arrival: self.queued_at,
-                priority: self.spec.priority,
-                gpus: self.width(),
-                full_need: cp.reserved,
-                min_need: cp.reserved,
-                failed_budget: None,
-                boost_permille: 0,
-            },
-            None => CandidateJob {
-                job: idx,
-                arrival: self.queued_at,
-                priority: self.spec.priority,
-                gpus: self.width(),
-                full_need: self.needs.full,
-                min_need: self.needs.min,
-                failed_budget: self.failed.get(&self.spec.batch).copied(),
-                boost_permille: 0,
-            },
+        let (full_need, min_need, failed_budget) = match self.phase {
+            Phase::Preempted { .. } => (self.reserved, self.reserved, None),
+            _ => (
+                self.needs.full,
+                self.needs.min,
+                self.failed.get(&self.spec.batch).copied(),
+            ),
+        };
+        CandidateJob {
+            job: idx,
+            arrival: self.queued_at,
+            priority: self.spec.priority,
+            gpus: self.width(),
+            full_need,
+            min_need,
+            failed_budget,
+            boost_permille: 0,
         }
+    }
+
+    /// The live [`JobState`]: the terminal and checkpointed states come
+    /// from [`Phase::outcome`]; a live job is `Running` while it holds
+    /// its gang and `Queued` otherwise.
+    fn state(&self) -> JobState {
+        match self.phase.outcome() {
+            JobOutcome::Completed => JobState::Completed,
+            JobOutcome::Rejected => JobState::Rejected,
+            JobOutcome::Aborted => JobState::Aborted,
+            JobOutcome::Cancelled => JobState::Cancelled,
+            JobOutcome::Preempted => JobState::Preempted,
+            JobOutcome::Starved if self.gpus_held.is_empty() => JobState::Queued,
+            JobOutcome::Starved => JobState::Running,
+        }
+    }
+
+    /// Records the admission budgets derived from a measuring run (or a
+    /// prediction). Inference prices a full round's KV state on top of
+    /// the forward-only base: `full` asks for the licensed concurrency's
+    /// worth, `min` for at least one request's slot — a grant anywhere
+    /// in between licenses proportionally fewer concurrent requests
+    /// (never zero). No backward pass means no gradients, so inference
+    /// skips the gang allreduce through the `grad_bytes > 0` gate.
+    fn set_needs(&mut self, est: &EstimateSummary, base: JobNeeds) {
+        let spec = &self.spec;
+        self.needs = if spec.is_inference() {
+            JobNeeds {
+                full: base.full.saturating_add(spec.kv_round_bytes()),
+                min: base.min.saturating_add(spec.kv_bytes_per_request),
+            }
+        } else {
+            base
+        };
+        self.grad_bytes = if spec.is_inference() {
+            0
+        } else {
+            est.weight_bytes
+        };
+        self.base_needs = base;
+        self.footprint = est.ideal_peak;
+    }
+
+    /// Never retries a validation at or below `grant` for `batch`.
+    fn record_failed(&mut self, batch: usize, grant: u64) {
+        let e = self.failed.entry(batch).or_insert(grant);
+        *e = (*e).max(grant);
+    }
+
+    /// Closes the reduced-batch window, if one is open.
+    fn close_reduced(&mut self, now: Time) {
+        if let Some(since) = self.reduced_since.take() {
+            self.elastic_reduced_time += now.saturating_since(since);
+        }
+    }
+
+    /// Banks the consumed replay iteration's memory-management costs and
+    /// advances the iteration cursor (the same replay index
+    /// [`Session::schedule_iter`] read when the iteration started).
+    fn bank_iteration(&mut self) {
+        if let Some(it) = self.replay.get(self.replay_idx()) {
+            self.recompute_time += it.recompute_time;
+            self.evictions += it.evictions;
+        }
+        self.iters_done += 1;
+    }
+
+    /// The replay index of the current iteration: the validation run's
+    /// final (steady-state) iteration repeats past its length.
+    fn replay_idx(&self) -> usize {
+        (self.iters_done as usize).min(self.replay.len().saturating_sub(1))
     }
 
     /// SLO-slack priority boost of a *waiting* inference job, from the
@@ -784,48 +847,128 @@ fn remove_resident(g: &mut GpuState, job: usize) {
     }
 }
 
-const EV_ARRIVE: u8 = 0;
-const EV_ITER_END: u8 = 1;
-/// A preemption's device-to-host checkpoint copy drained: release the
-/// reservations and re-enqueue the victim.
-const EV_PREEMPT: u8 = 2;
-/// A resume's host-to-device restore copy drained: the job starts
-/// iterating again from its saved cursor.
-const EV_RESUME: u8 = 3;
-/// The iteration-boundary communication (swap-replay queueing and/or the
-/// gang's gradient allreduce) drained: the iteration is truly complete.
-const EV_COMM: u8 = 4;
-/// An elastic batch change's checkpoint + restore copies drained: the new
-/// replay takes effect and the job iterates at the new batch.
-const EV_REGROW: u8 = 5;
-/// An inference request arrived. Carries epoch 0 and — like `EV_ARRIVE` —
-/// ignores the job's epoch: request arrivals are an external process, so
-/// re-pricing or repreemption epoch bumps must not silently drop them.
-/// Staleness is the job's terminal/cancelled state instead.
-const EV_REQ_ARRIVE: u8 = 6;
-/// A mispredict recovery's device-to-host checkpoint copy drained: the
-/// job's predicted grant under-shot the verified truth, so it drops its
-/// predicted state entirely and re-enters the queue with measured
-/// budgets (unlike `EV_PREEMPT`, no checkpoint is kept — resuming one
-/// would regrant the insufficient budget verbatim).
-const EV_REMEASURE: u8 = 7;
+/// What a scheduled event does when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EventKind {
+    /// The job's submission time came up: admission, then the queue.
+    Arrive,
+    /// An iteration's (or serving round's) compute drained.
+    IterEnd,
+    /// A preemption's device-to-host checkpoint copy drained: release the
+    /// reservations and re-enqueue the victim.
+    Preempt,
+    /// A resume's host-to-device restore copy drained: the job starts
+    /// iterating again from its saved cursor.
+    Resume,
+    /// The iteration-boundary communication (swap-replay queueing and/or
+    /// the gang's gradient allreduce) drained: the iteration is truly
+    /// complete.
+    Comm,
+    /// An elastic batch change's checkpoint + restore copies drained: the
+    /// new replay takes effect and the job iterates at the new batch.
+    Regrow,
+    /// An inference request arrived. Carries epoch 0: request arrivals
+    /// are an external process, like submissions.
+    Request,
+    /// A mispredict recovery's device-to-host checkpoint copy drained:
+    /// the job's predicted grant under-shot the verified truth, so it
+    /// drops its predicted state entirely and re-enters the queue with
+    /// measured budgets (unlike `Preempt`, no checkpoint is kept —
+    /// resuming one would regrant the insufficient budget verbatim).
+    Remeasure,
+}
 
-/// Event queue entry: `(time ns, class, sequence, kind, job, epoch)`
-/// under `Reverse` for min-heap order. The class ranks arrivals (0)
-/// ahead of scheduled events (1) at the same instant, so an online
-/// [`Cluster::submit`] — whose arrival necessarily draws a later
-/// sequence number than events already in flight — processes exactly
-/// where the batch loop (which pushes every arrival before any
-/// scheduled event exists) would have ordered it. The sequence number
-/// breaks the remaining ties deterministically; the epoch invalidates
-/// events superseded by re-pricing or preemption.
-type Event = Reverse<(u64, u8, u64, u8, usize, u64)>;
+/// One scheduled event, ordered by `(time, class, sequence)`. The class
+/// ranks arrivals (0) ahead of scheduled events (1) at the same instant,
+/// so an online [`Cluster::submit`] — whose arrival necessarily draws a
+/// later sequence number than events already in flight — processes
+/// exactly where the batch loop (which pushes every arrival before any
+/// scheduled event exists) would have ordered it. The sequence number is
+/// unique, so the order is total; the epoch invalidates events
+/// superseded by re-pricing or preemption.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    at: Time,
+    seq: u64,
+    epoch: u64,
+    job: usize,
+    kind: EventKind,
+}
 
-/// Builds an [`Event`], deriving the arrival-first class rank from the
-/// kind.
-fn ev(t: Time, seq: u64, kind: u8, job: usize, epoch: u64) -> Event {
-    let class = u8::from(kind != EV_ARRIVE);
-    Reverse((t.as_nanos(), class, seq, kind, job, epoch))
+// Events are copied on every heap sift: keep them at 40 bytes.
+const _: () = assert!(std::mem::size_of::<Event>() <= 40);
+
+impl Event {
+    fn key(&self) -> (Time, bool, u64) {
+        (self.at, self.kind != EventKind::Arrive, self.seq)
+    }
+
+    /// Whether the event was superseded before it fired — the one
+    /// staleness rule. Arrivals and request arrivals are an external
+    /// process, so epoch bumps (re-pricing, preemption) must not drop
+    /// them: only a terminal job silences them. Every other event is
+    /// stale once the job's epoch moved past the one it was scheduled
+    /// under.
+    fn is_stale(&self, j: &JobRun) -> bool {
+        match self.kind {
+            EventKind::Arrive | EventKind::Request => matches!(j.phase, Phase::Done(_)),
+            _ => self.epoch != j.epoch,
+        }
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Event) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Event) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The pending events as a min-heap, plus the sequence counter that
+/// numbers them.
+#[derive(Debug, Default)]
+struct EventHeap {
+    seq: u64,
+    heap: BinaryHeap<Reverse<Event>>,
+}
+
+impl EventHeap {
+    fn push(&mut self, at: Time, kind: EventKind, job: usize, epoch: u64) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Event {
+            at,
+            seq,
+            epoch,
+            job,
+            kind,
+        }));
+    }
+
+    fn peek(&self) -> Option<Event> {
+        self.heap.peek().map(|e| e.0)
+    }
+
+    fn pop(&mut self) {
+        self.heap.pop();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.heap.iter().map(|e| &e.0)
+    }
 }
 
 /// A job's replay trace is empty — replaying it would fabricate zero-time
@@ -855,6 +998,16 @@ struct EstimateSummary {
     /// unvalidated (heuristic-class) admission synthesizes its replay
     /// from.
     iter_wall: Duration,
+}
+
+impl From<PredictedFootprint> for EstimateSummary {
+    fn from(p: PredictedFootprint) -> EstimateSummary {
+        EstimateSummary {
+            ideal_peak: p.ideal_peak,
+            weight_bytes: p.weight_bytes,
+            iter_wall: p.iter_wall,
+        }
+    }
 }
 
 /// Measured truth for mispredict verification, cached per `(model,
@@ -935,11 +1088,13 @@ impl std::error::Error for CancelError {}
 /// per-job and per-GPU state, the waiting queue, and the side-channel
 /// logs. [`Cluster::reset`] swaps in a fresh one; the admission caches
 /// live on [`Cluster`] itself and survive across runs (they memoize pure
-/// functions of the spec, so reuse cannot perturb determinism).
-#[derive(Debug)]
+/// functions of the spec, so reuse cannot perturb determinism). The
+/// all-empty default is also the placeholder `std::mem::take` leaves
+/// behind while the event loop works on the real session; API callers
+/// never observe it.
+#[derive(Debug, Default)]
 struct Session {
-    seq: u64,
-    heap: BinaryHeap<Event>,
+    heap: EventHeap,
     jobs: Vec<JobRun>,
     gpus: Vec<GpuState>,
     fabric: Option<Interconnect>,
@@ -1052,7 +1207,8 @@ impl Session {
         let threshold = j.candidate(job).fit_threshold();
         // Inference jobs never re-batch (parse-time validation rejects
         // the combination; code-built specs get the same verdict here).
-        let elastic = j.spec.elastic && !j.spec.is_inference() && j.checkpoint.is_none();
+        let elastic =
+            j.spec.elastic && !j.spec.is_inference() && !matches!(j.phase, Phase::Preempted { .. });
         let floor = j.ladder_floor_min;
         self.jobs[job].queue_key = Some(key);
         self.pending.insert(key, job);
@@ -1105,6 +1261,251 @@ impl Session {
         g.reserved -= bytes;
         self.pool.set_reserved(gpu, g.reserved);
     }
+
+    /// Moves every replica of `job`'s gang to a `bytes` reservation.
+    fn resize(&mut self, job: usize, bytes: u64, now: Time) {
+        let old = self.jobs[job].reserved;
+        for i in 0..self.jobs[job].gpus_held.len() {
+            let gpu = self.jobs[job].gpus_held[i];
+            if bytes >= old {
+                self.reserve_on(gpu, bytes - old, now);
+            } else {
+                self.release_on(gpu, old - bytes, now);
+            }
+        }
+        self.jobs[job].reserved = bytes;
+    }
+
+    /// Appends a lifecycle event to the side-channel log.
+    fn emit(&mut self, job: usize, t: Time, kind: JobEventKind) {
+        self.events.push(JobEvent {
+            t,
+            job: job as u64,
+            name: self.jobs[job].spec.name.clone(),
+            kind,
+        });
+    }
+
+    /// Copies `bytes` per replica of `job`'s gang between device and host,
+    /// starting at `want`, and returns when the copy drains. On a shared
+    /// fabric every replica's bytes serialize on the host link (behind
+    /// any traffic in flight) and the copy is recorded as a transfer
+    /// named `label`; with private lanes the replicas copy in parallel.
+    fn host_copy(
+        &mut self,
+        dev: &DeviceSpec,
+        job: usize,
+        want: Time,
+        bytes: u64,
+        dir: CopyDir,
+        label: &str,
+    ) -> Time {
+        let Some(fabric) = self.fabric.as_mut() else {
+            return want + dev.copy_time(bytes, dir);
+        };
+        let j = &self.jobs[job];
+        let bytes = bytes * j.gpus_held.len().max(1) as u64;
+        let tr = fabric.host_transfer(want, bytes);
+        self.transfers.push(ClusterTransfer {
+            job: j.spec.name.clone(),
+            iter: u64::MAX,
+            label: label.to_owned(),
+            link: "host".to_owned(),
+            dir,
+            bytes,
+            want,
+            start: tr.start,
+            end: tr.end,
+            wait: tr.start.saturating_since(want),
+            charge: Duration::ZERO,
+            lead: Duration::ZERO,
+        });
+        tr.end
+    }
+
+    /// Takes `job` off the queue and grants it its whole gang in one step
+    /// — `bytes` on every member. The strategy names the complete GPU set
+    /// and every member is reserved here, so no job ever holds a partial
+    /// gang (the no-deadlock invariant).
+    fn grant(&mut self, job: usize, gang: &[usize], bytes: u64, now: Time) {
+        self.dequeue(job);
+        let j = &mut self.jobs[job];
+        j.gpus_held = gang.to_vec();
+        j.reserved = bytes;
+        self.resident_jobs.insert(job);
+        for &gpu in gang {
+            self.reserve_on(gpu, bytes, now);
+            let g = &mut self.gpus[gpu];
+            g.resident.push(job);
+            g.hosted += 1;
+        }
+    }
+
+    /// Grants a waiting job its gang at global batch `batch` and starts
+    /// it: training iterates at once, while a serving job idles until the
+    /// serving loop opens its first round over the accumulated backlog.
+    fn admit(&mut self, job: usize, gang: &[usize], bytes: u64, batch: usize, now: Time) {
+        self.grant(job, gang, bytes, now);
+        self.jobs[job].admitted_at = Some(now);
+        let gpus = gang.to_vec();
+        let admitted = JobEventKind::Admitted {
+            gpus,
+            batch,
+            reserved: bytes,
+        };
+        self.emit(job, now, admitted);
+        if self.jobs[job].spec.is_inference() {
+            self.jobs[job].phase = Phase::Barrier;
+        } else if !self.start_iter(job, now) {
+            return;
+        }
+        self.reprice(gang, now);
+    }
+
+    /// Moves `job` to `next`, releasing every replica's reservation and
+    /// logging `kind`; each device the gang left re-prices its remaining
+    /// residents. A completed job keeps its GPU list for stats.
+    fn release_gang(&mut self, job: usize, now: Time, next: Phase, kind: JobEventKind) {
+        let j = &mut self.jobs[job];
+        if matches!(std::mem::replace(&mut j.phase, next), Phase::Checkpointing) {
+            self.preempting -= 1;
+        }
+        let held = std::mem::take(&mut j.gpus_held);
+        let reserved = j.reserved;
+        self.resident_jobs.remove(&job);
+        for &gpu in &held {
+            self.release_on(gpu, reserved, now);
+            remove_resident(&mut self.gpus[gpu], job);
+        }
+        self.emit(job, now, kind);
+        self.reprice(&held, now);
+        if matches!(self.jobs[job].phase, Phase::Done(JobOutcome::Completed)) {
+            self.jobs[job].gpus_held = held;
+        }
+    }
+
+    /// Ends `job` with `outcome`: it leaves the queue, its reduced-batch
+    /// window closes, every scheduled event dies by the epoch bump (its
+    /// arrivals by the terminal phase), and whatever gang it holds is
+    /// released.
+    fn finish(&mut self, job: usize, now: Time, outcome: JobOutcome) {
+        self.dequeue(job);
+        let j = &mut self.jobs[job];
+        j.close_reduced(now);
+        j.epoch += 1;
+        let kind = match outcome {
+            JobOutcome::Completed => {
+                j.finished_at = Some(now);
+                JobEventKind::Completed
+            }
+            JobOutcome::Rejected => JobEventKind::Rejected,
+            JobOutcome::Cancelled => JobEventKind::Cancelled,
+            _ => JobEventKind::Aborted,
+        };
+        self.release_gang(job, now, Phase::Done(outcome), kind);
+    }
+
+    /// Starts checkpointing `job`'s whole gang to the host; `kind` fires
+    /// when the copy drains. Checkpoints capture completed-iteration
+    /// boundaries only, so the iteration under way (or, after a
+    /// mispredict, the one that exposed it) is wasted work.
+    fn start_checkpoint(
+        &mut self,
+        dev: &DeviceSpec,
+        job: usize,
+        now: Time,
+        label: &str,
+        kind: EventKind,
+    ) {
+        let reserved = self.jobs[job].reserved;
+        let end = self.host_copy(dev, job, now, reserved, CopyDir::DeviceToHost, label);
+        let j = &mut self.jobs[job];
+        j.wasted_work += now.saturating_since(j.iter_started);
+        j.preemptions += 1;
+        j.checkpoint_overhead += end.saturating_since(now);
+        j.phase = Phase::Checkpointing;
+        j.epoch += 1;
+        self.preempting += 1;
+        self.heap.push(end, kind, job, j.epoch);
+    }
+
+    /// Schedules the end of `job`'s next iteration's compute: recorded
+    /// wall time (the validation run's final wall repeats past its
+    /// length) scaled by the gang's contention factor. Re-pricing adjusts
+    /// the end later if residency changes mid-iteration; boundary
+    /// communication is charged separately when the compute drains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmptyWalls`] when the job has no replay trace — admission
+    /// rejects such traces, so this is a defence, not a path.
+    fn schedule_iter(&mut self, job: usize, now: Time) -> Result<(), EmptyWalls> {
+        assert!(
+            !self.jobs[job].gpus_held.is_empty(),
+            "scheduled job holds a gang"
+        );
+        let k = contention_factor(&self.jobs, &self.gpus, job);
+        let j = &mut self.jobs[job];
+        let Some(it) = j.replay.get(j.replay_idx()) else {
+            return Err(EmptyWalls);
+        };
+        j.iter_wall = it.wall;
+        j.iter_k = k;
+        j.iter_progress = 0.0;
+        j.iter_started = now;
+        j.iter_priced_at = now;
+        j.phase = Phase::Running;
+        let end = now + j.iter_wall.mul_f64(k);
+        self.heap.push(end, EventKind::IterEnd, job, j.epoch);
+        Ok(())
+    }
+
+    /// Starts `job`'s next iteration, aborting the job mid-run when its
+    /// replay trace is empty. Returns whether the iteration started.
+    fn start_iter(&mut self, job: usize, now: Time) -> bool {
+        let started = self.schedule_iter(job, now).is_ok();
+        if !started {
+            self.finish(job, now, JobOutcome::Aborted);
+        }
+        started
+    }
+
+    /// Re-prices every in-flight iteration on `gpus` after their resident
+    /// sets changed at `now`: progress accrued under the old contention
+    /// factor is banked, the remainder is rescaled to the new factor, and
+    /// a fresh iteration-end event supersedes the stale one (epoch bump).
+    /// A gang's factor spans all its GPUs, so a residency change on one
+    /// device re-prices gang-mates whose other devices are untouched.
+    fn reprice(&mut self, gpus: &[usize], now: Time) {
+        let Session {
+            jobs,
+            gpus: devices,
+            heap,
+            ..
+        } = self;
+        for &gpu in gpus {
+            for &r in &devices[gpu].resident {
+                let k = contention_factor(jobs, devices, r);
+                let j = &mut jobs[r];
+                if !matches!(j.phase, Phase::Running) || j.iter_k == k {
+                    continue;
+                }
+                let base = j.iter_wall.as_nanos() as f64;
+                if base > 0.0 {
+                    let elapsed = now.saturating_since(j.iter_priced_at).as_nanos() as f64;
+                    j.iter_progress = (j.iter_progress + elapsed / (j.iter_k * base)).min(1.0);
+                } else {
+                    j.iter_progress = 1.0;
+                }
+                j.iter_k = k;
+                j.iter_priced_at = now;
+                let remaining =
+                    Duration::from_nanos(((1.0 - j.iter_progress) * k * base).round() as u64);
+                j.epoch += 1;
+                heap.push(now + remaining, EventKind::IterEnd, r, j.epoch);
+            }
+        }
+    }
 }
 
 /// Adds one occurrence of `v` to a threshold multiset.
@@ -1119,40 +1520,6 @@ fn multiset_sub(set: &mut BTreeMap<u64, usize>, v: u64) {
         Some(c) if *c > 1 => *c -= 1,
         _ => {
             set.remove(&v);
-        }
-    }
-}
-
-/// The all-empty placeholder `std::mem::take` leaves behind while the
-/// event loop works on the real session; never observed by API callers.
-impl Default for Session {
-    fn default() -> Session {
-        Session {
-            seq: 0,
-            heap: BinaryHeap::new(),
-            jobs: Vec::new(),
-            gpus: Vec::new(),
-            fabric: None,
-            pool: GpuPool::default(),
-            pending: BTreeMap::new(),
-            queue_seq: 0,
-            queue_gen: 0,
-            by_threshold: BTreeMap::new(),
-            pending_elastic: BTreeMap::new(),
-            elastic_floors: BTreeMap::new(),
-            elastic_unfloored: 0,
-            settled_at: None,
-            ladder_gen: 0,
-            ladder_probes: BTreeMap::new(),
-            resident_jobs: BTreeSet::new(),
-            preempting: 0,
-            transfers: Vec::new(),
-            events: Vec::new(),
-            now: Time::ZERO,
-            has_inference: false,
-            burst_cycles: 0,
-            predictor_hits: 0,
-            predictor_misses: 0,
         }
     }
 }
@@ -1333,7 +1700,7 @@ impl Cluster {
     }
 
     /// Admission-time budget derivation, provenance included — the entry
-    /// point [`EV_ARRIVE`] dispatches instead of calling
+    /// point [`EventKind::Arrive`] dispatches instead of calling
     /// [`Cluster::estimate_at`] directly.
     ///
     /// Heuristic-class policies estimate exactly as before. For
@@ -1350,74 +1717,49 @@ impl Cluster {
         spec: &JobSpec,
     ) -> (EstimateSummary, JobNeeds, AdmissionDecisionParts) {
         let descriptor = spec.policy.descriptor();
-        if descriptor.cost_class == CostClass::Heuristic {
-            let (est, needs) = self.estimate_at(spec, spec.batch);
-            return (
-                est,
-                needs,
-                AdmissionDecisionParts {
-                    source: AdmissionSource::Heuristic,
-                    outcome: PredictorOutcome::NotConsulted,
-                    raw_full: 0,
+        let heuristic = descriptor.cost_class == CostClass::Heuristic;
+        let consult = !heuristic && self.cfg.predictive && descriptor.predictable;
+        if let Some(raw) = consult.then(|| self.predict(spec)).flatten() {
+            let margin = self.cfg.safety_margin_permille;
+            let padded = raw.with_margin(margin);
+            let needs = JobNeeds {
+                full: padded.full,
+                min: match self.admission.mode {
+                    // TfOri admission never shrinks: min == full,
+                    // exactly like the measured path.
+                    AdmissionMode::TfOri => padded.full,
+                    AdmissionMode::Capuchin => padded.min,
                 },
-            );
-        }
-        if self.cfg.predictive && descriptor.predictable {
-            let features = spec.predict_features();
-            let key = key_of(spec);
-            if let Some(raw) =
-                self.predictor
-                    .predict(&key, features.replica_batch(), self.cfg.min_samples)
-            {
-                let margin = self.cfg.safety_margin_permille;
-                let padded = raw.with_margin(margin);
-                let est = EstimateSummary {
-                    ideal_peak: padded.ideal_peak,
-                    weight_bytes: padded.weight_bytes,
-                    iter_wall: padded.iter_wall,
-                };
-                let needs = JobNeeds {
-                    full: padded.full,
-                    min: match self.admission.mode {
-                        // TfOri admission never shrinks: min == full,
-                        // exactly like the measured path.
-                        AdmissionMode::TfOri => padded.full,
-                        AdmissionMode::Capuchin => padded.min,
-                    },
-                };
-                return (
-                    est,
-                    needs,
-                    AdmissionDecisionParts {
-                        source: AdmissionSource::Predicted {
-                            margin_permille: margin,
-                        },
-                        outcome: PredictorOutcome::Hit,
-                        raw_full: raw.full,
-                    },
-                );
-            }
-            let (est, needs) = self.estimate_at(spec, spec.batch);
-            return (
-                est,
-                needs,
-                AdmissionDecisionParts {
-                    source: AdmissionSource::Measured,
-                    outcome: PredictorOutcome::Miss,
-                    raw_full: 0,
+            };
+            let parts = AdmissionDecisionParts {
+                source: AdmissionSource::Predicted {
+                    margin_permille: margin,
                 },
-            );
+                outcome: PredictorOutcome::Hit,
+                raw_full: raw.full,
+            };
+            return (padded.into(), needs, parts);
         }
         let (est, needs) = self.estimate_at(spec, spec.batch);
-        (
-            est,
-            needs,
-            AdmissionDecisionParts {
-                source: AdmissionSource::Measured,
-                outcome: PredictorOutcome::NotConsulted,
-                raw_full: 0,
-            },
-        )
+        let (source, outcome) = match (heuristic, consult) {
+            (true, _) => (AdmissionSource::Heuristic, PredictorOutcome::NotConsulted),
+            (false, true) => (AdmissionSource::Measured, PredictorOutcome::Miss),
+            (false, false) => (AdmissionSource::Measured, PredictorOutcome::NotConsulted),
+        };
+        let parts = AdmissionDecisionParts {
+            source,
+            outcome,
+            raw_full: 0,
+        };
+        (est, needs, parts)
+    }
+
+    /// The regression store's raw (pre-margin) footprint for `spec`'s
+    /// family at its replica batch; `None` while the key is cold.
+    fn predict(&self, spec: &JobSpec) -> Option<PredictedFootprint> {
+        let rb = spec.predict_features().replica_batch();
+        self.predictor
+            .predict(&key_of(spec), rb, self.cfg.min_samples)
     }
 
     fn validated_replay(
@@ -1512,20 +1854,10 @@ impl Cluster {
     /// `None` when the key went cold (impossible once warm — the store
     /// only grows) or the budget sits below the predicted weight floor.
     fn predicted_replay(&self, spec: &JobSpec, budget: u64) -> Option<Arc<Vec<ReplayIter>>> {
-        let features = spec.predict_features();
-        let p = self
-            .predictor
-            .predict(
-                &key_of(spec),
-                features.replica_batch(),
-                self.cfg.min_samples,
-            )?
-            .with_margin(self.cfg.safety_margin_permille);
-        let est = EstimateSummary {
-            ideal_peak: p.ideal_peak,
-            weight_bytes: p.weight_bytes,
-            iter_wall: p.iter_wall,
-        };
+        let est = self
+            .predict(spec)?
+            .with_margin(self.cfg.safety_margin_permille)
+            .into();
         let iters = spec.iters.min(self.cfg.validate_iters).max(2);
         self.synthesize_replay(spec.policy.name(), &est, budget, iters)
     }
@@ -1641,15 +1973,10 @@ impl Cluster {
             run.arrival = s.now;
             run.queued_at = s.now;
         }
-        s.events.push(JobEvent {
-            t: run.arrival,
-            job: id as u64,
-            name: run.spec.name.clone(),
-            kind: JobEventKind::Submitted,
-        });
-        s.heap.push(ev(run.arrival, s.seq, EV_ARRIVE, id, 0));
-        s.seq += 1;
+        let arrival = run.arrival;
         s.jobs.push(run);
+        s.emit(id, arrival, JobEventKind::Submitted);
+        s.heap.push(arrival, EventKind::Arrive, id, 0);
         id
     }
 
@@ -1667,51 +1994,17 @@ impl Cluster {
     /// returned; [`CancelError::Terminal`] when the job already
     /// completed, was rejected, aborted, or cancelled.
     pub fn cancel(&mut self, id: JobId) -> Result<(), CancelError> {
-        match self.session.jobs.get(id) {
+        match self.session.jobs.get(id).map(JobRun::state) {
             None => return Err(CancelError::UnknownJob(id)),
-            Some(j) if j.rejected || j.finished_at.is_some() || j.aborted || j.cancelled => {
-                return Err(CancelError::Terminal(id));
-            }
+            Some(state) if state.is_terminal() => return Err(CancelError::Terminal(id)),
             Some(_) => {}
         }
         let mut s = std::mem::take(&mut self.session);
         let now = s.now;
-        let was_preempting = s.jobs[id].preempting;
-        {
-            let j = &mut s.jobs[id];
-            j.cancelled = true;
-            j.iterating = false;
-            j.preempting = false;
-            // Scheduled events die by the epoch bump, the pending
-            // arrival by the cancelled flag.
-            j.epoch += 1;
-            if let Some(since) = j.reduced_since.take() {
-                j.elastic_reduced_time += now.saturating_since(since);
-            }
-        }
-        if was_preempting {
-            s.preempting -= 1;
-        }
-        // A queued job holds nothing: refund nothing.
-        s.dequeue(id);
-        // A resident job's whole gang releases right away (a preempting
-        // victim's checkpoint copy is moot — the job is going away).
-        let held = std::mem::take(&mut s.jobs[id].gpus_held);
-        let reserved = s.jobs[id].reserved;
-        s.resident_jobs.remove(&id);
-        for &gpu in &held {
-            s.release_on(gpu, reserved, now);
-            remove_resident(&mut s.gpus[gpu], id);
-        }
-        s.events.push(JobEvent {
-            t: now,
-            job: id as u64,
-            name: s.jobs[id].spec.name.clone(),
-            kind: JobEventKind::Cancelled,
-        });
-        for &gpu in &held {
-            reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-        }
+        // A queued job holds nothing and refunds nothing; a resident (or
+        // mid-checkpoint-copy) job's whole gang releases right away — a
+        // checkpoint copy in flight is moot, the job is going away.
+        s.finish(id, now, JobOutcome::Cancelled);
         // Freed memory — or a freed queue slot ahead of other waiters —
         // may unblock placements immediately.
         self.settle(&mut s, now);
@@ -1722,25 +2015,10 @@ impl Cluster {
     /// A live snapshot of one job, or `None` for an id never submitted.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         let j = self.session.jobs.get(id)?;
-        let state = if j.rejected {
-            JobState::Rejected
-        } else if j.finished_at.is_some() {
-            JobState::Completed
-        } else if j.cancelled {
-            JobState::Cancelled
-        } else if j.aborted {
-            JobState::Aborted
-        } else if j.checkpoint.is_some() || j.preempting {
-            JobState::Preempted
-        } else if !j.gpus_held.is_empty() {
-            JobState::Running
-        } else {
-            JobState::Queued
-        };
         Some(JobStatus {
             id: id as u64,
             name: j.spec.name.clone(),
-            state,
+            state: j.state(),
             iters_done: j.iters_done,
             samples_done: j.samples_done,
             samples_total: j.samples_total,
@@ -1777,22 +2055,8 @@ impl Cluster {
 
     /// Whether any live (non-superseded) event is still scheduled.
     pub fn has_work(&self) -> bool {
-        self.session
-            .heap
-            .iter()
-            .any(|&Reverse((_, _, _, kind, job, epoch))| {
-                let j = &self.session.jobs[job];
-                if kind == EV_ARRIVE {
-                    !j.cancelled
-                } else if kind == EV_REQ_ARRIVE {
-                    // Request arrivals are an external process: epoch
-                    // bumps (re-pricing, repreemption) must not drop
-                    // them. Only a terminal job silences its requests.
-                    !(j.cancelled || j.rejected || j.aborted || j.finished_at.is_some())
-                } else {
-                    epoch == j.epoch
-                }
-            })
+        let s = &self.session;
+        s.heap.iter().any(|e| !e.is_stale(&s.jobs[e.job]))
     }
 
     /// Processes the next event, skipping superseded ones: dispatches
@@ -1826,30 +2090,20 @@ impl Cluster {
     fn step_bounded(&mut self, deadline: Option<Time>) -> bool {
         let mut s = std::mem::take(&mut self.session);
         let mut processed = false;
-        while let Some(&Reverse((t, _, _, kind, job, epoch))) = s.heap.peek() {
-            let stale = if kind == EV_ARRIVE {
-                s.jobs[job].cancelled
-            } else if kind == EV_REQ_ARRIVE {
-                // Mirror of [`Cluster::has_work`]: terminal state, not
-                // the epoch, silences a scheduled request arrival.
-                let j = &s.jobs[job];
-                j.cancelled || j.rejected || j.aborted || j.finished_at.is_some()
-            } else {
-                epoch != s.jobs[job].epoch
-            };
-            if stale {
+        while let Some(e) = s.heap.peek() {
+            if e.is_stale(&s.jobs[e.job]) {
                 // Superseded by a re-pricing, preemption, abort or
                 // cancel: drop it without touching the clock.
                 s.heap.pop();
                 continue;
             }
-            let now = Time::from_nanos(t);
+            let now = e.at;
             if deadline.is_some_and(|d| now > d) {
                 break;
             }
             s.heap.pop();
             s.now = now;
-            self.dispatch(&mut s, job, kind, now);
+            self.dispatch(&mut s, e.job, e.kind, now);
             self.settle(&mut s, now);
             processed = true;
             break;
@@ -1861,59 +2115,32 @@ impl Cluster {
     /// One event's state transition — the match-arm body of the old
     /// batch loop. The settle pass (placement and friends) runs
     /// separately after every dispatch.
-    fn dispatch(&mut self, s: &mut Session, job: usize, kind: u8, now: Time) {
+    fn dispatch(&mut self, s: &mut Session, job: usize, kind: EventKind, now: Time) {
         match kind {
-            EV_ARRIVE => {
+            EventKind::Arrive => {
                 // Bad gang widths are rejected at parse time
-                // (`load_jobs`); specs built in code get the same
-                // verdict here instead of a late panic.
-                if s.jobs[job].spec.gpus == 0 || s.jobs[job].spec.gpus > self.cfg.gpus {
-                    s.jobs[job].rejected = true;
-                } else {
-                    let spec = s.jobs[job].spec.clone();
+                // ([`JobSpec::validate`]); specs built in code get the
+                // same verdict here instead of a late panic.
+                let spec = s.jobs[job].spec.clone();
+                let admissible = spec.gpus != 0 && spec.gpus <= self.cfg.gpus && {
                     let (est, base, decision) = self.admission_estimate(&spec);
                     match decision.outcome {
                         PredictorOutcome::Hit => s.predictor_hits += 1,
                         PredictorOutcome::Miss => s.predictor_misses += 1,
                         PredictorOutcome::NotConsulted => {}
                     }
-                    s.jobs[job].admission_source = decision.source;
+                    let j = &mut s.jobs[job];
+                    j.admission_source = decision.source;
                     if let AdmissionSource::Predicted { .. } = decision.source {
-                        s.jobs[job].predicted_bytes = base.full;
-                        s.jobs[job].predicted_raw_full = decision.raw_full;
+                        j.predicted_bytes = base.full;
+                        j.predicted_raw_full = decision.raw_full;
                     }
-                    let capacity = self.cfg.spec.memory_bytes;
-                    let needs = if spec.is_inference() {
-                        // Admission prices a full round's KV state on
-                        // top of the forward-only base: `full` asks for
-                        // the licensed concurrency's worth, `min` for at
-                        // least one request's slot — a grant anywhere in
-                        // between licenses proportionally fewer
-                        // concurrent requests (never zero).
-                        let kv = spec.kv_bytes_per_request;
-                        let max_in = spec.max_inflight.max(1) as u64;
-                        JobNeeds {
-                            full: base.full.saturating_add(max_in.saturating_mul(kv)),
-                            min: base.min.saturating_add(kv),
-                        }
-                    } else {
-                        base
-                    };
-                    s.jobs[job].base_needs = base;
-                    s.jobs[job].needs = needs;
-                    s.jobs[job].footprint = est.ideal_peak;
-                    // No backward pass means no gradients: the gang
-                    // allreduce is skipped for inference via the
-                    // existing `grad_bytes > 0` gate.
-                    s.jobs[job].grad_bytes = if spec.is_inference() {
-                        0
-                    } else {
-                        est.weight_bytes
-                    };
+                    j.set_needs(&est, base);
                     // An elastic job whose full-batch minimum exceeds
                     // a bare GPU is still admissible if the ladder's
                     // floor batch fits one.
-                    let admissible = needs.min <= capacity
+                    let capacity = self.cfg.spec.memory_bytes;
+                    let admissible = j.needs.min <= capacity
                         || (self.cfg.elastic && spec.elastic && !spec.is_inference() && {
                             let floor = *elastic_batches(spec.batch, self.cfg.min_batch_fraction)
                                 .last()
@@ -1921,83 +2148,66 @@ impl Cluster {
                             self.estimate_at(&spec, floor).1.min <= capacity
                         });
                     self.charge_admission(&mut s.jobs[job]);
-                    if admissible {
-                        s.enqueue(job);
-                        if spec.is_inference() {
-                            // The request-arrival process starts with the
-                            // job: each arrival schedules its successor.
-                            self.schedule_next_request(s, job, now);
-                        }
-                    } else {
-                        // Admission-time OOM: no bare GPU can host a
-                        // replica at any allowed batch.
-                        s.jobs[job].rejected = true;
+                    admissible
+                };
+                if !admissible {
+                    // Admission-time OOM: no bare GPU can host a replica
+                    // at any allowed batch.
+                    s.finish(job, now, JobOutcome::Rejected);
+                } else {
+                    s.enqueue(job);
+                    if spec.is_inference() {
+                        // The request-arrival process starts with the
+                        // job: each arrival schedules its successor.
+                        self.schedule_next_request(s, job, now);
                     }
                 }
-                if s.jobs[job].rejected {
-                    s.events.push(JobEvent {
-                        t: now,
-                        job: job as u64,
-                        name: s.jobs[job].spec.name.clone(),
-                        kind: JobEventKind::Rejected,
-                    });
-                }
             }
-            EV_ITER_END => {
+            EventKind::IterEnd => {
                 // Compute done. The iteration is complete only after
                 // the boundary communication (replayed swap traffic
                 // queueing, then the gang's gradient allreduce)
                 // drains on the shared fabric.
-                s.jobs[job].iterating = false;
+                s.jobs[job].phase = Phase::Barrier;
                 let comm_end =
                     settle_comm(&mut s.jobs[job], now, s.fabric.as_mut(), &mut s.transfers);
                 if comm_end > now {
-                    s.jobs[job].epoch += 1;
-                    let epoch = s.jobs[job].epoch;
-                    s.heap.push(ev(comm_end, s.seq, EV_COMM, job, epoch));
-                    s.seq += 1;
+                    let j = &mut s.jobs[job];
+                    j.epoch += 1;
+                    s.heap.push(comm_end, EventKind::Comm, job, j.epoch);
                 } else {
                     self.complete_iteration(s, job, now);
                 }
             }
-            EV_COMM => {
+            EventKind::Comm => {
                 self.complete_iteration(s, job, now);
             }
-            EV_REQ_ARRIVE => {
+            EventKind::Request => {
                 // A request joins the job's queue and the arrival
                 // process self-perpetuates. Serving is *not* attempted
                 // here: the settle pass that follows every dispatch
                 // runs the serving loop, so the request is picked up in
                 // the same instant if the job is resident and idle.
                 s.jobs[job].req_queue.push_back(now);
-                s.events.push(JobEvent {
-                    t: now,
-                    job: job as u64,
-                    name: s.jobs[job].spec.name.clone(),
-                    kind: JobEventKind::RequestArrived,
-                });
+                s.emit(job, now, JobEventKind::RequestArrived);
                 self.schedule_next_request(s, job, now);
             }
-            EV_REGROW => {
+            EventKind::Regrow => {
                 // The batch-change copies drained: swap in the new
                 // replay and continue from the same samples cursor at
                 // the new batch.
                 let j = &mut s.jobs[job];
-                let rg = j
-                    .pending_regrow
-                    .take()
-                    .expect("regrowing job has a pending batch change");
-                let batch = rg.batch;
-                let grew = batch > j.cur_batch;
+                let Phase::Regrowing(rg) = std::mem::replace(&mut j.phase, Phase::Barrier) else {
+                    unreachable!("a live regrow event belongs to a regrowing job")
+                };
+                let grew = rg.batch > j.cur_batch;
                 j.cur_batch = rg.batch;
                 j.shrunk = rg.shrunk;
                 j.replay = rg.replay;
-                if batch >= j.spec.batch {
+                if rg.batch >= j.spec.batch {
                     // Back at the requested batch: close the
                     // reduced-time window.
-                    if let Some(since) = j.reduced_since.take() {
-                        j.elastic_reduced_time += now.saturating_since(since);
-                    }
+                    j.close_reduced(now);
                 } else if j.reduced_since.is_none() {
                     // A downward change (burst absorption) opens it.
                     j.reduced_since = Some(now);
@@ -2005,156 +2215,64 @@ impl Cluster {
                 // Any re-growth after a burst-absorption shrink closes
                 // the cycle: the burst drained and the trained batch
                 // recovered.
-                let closed_cycle = grew && j.shrunk_for_burst;
-                if closed_cycle {
+                if grew && j.shrunk_for_burst {
                     j.shrunk_for_burst = false;
-                }
-                s.events.push(JobEvent {
-                    t: now,
-                    job: job as u64,
-                    name: s.jobs[job].spec.name.clone(),
-                    kind: JobEventKind::Rebatched { batch },
-                });
-                if closed_cycle {
                     s.burst_cycles += 1;
                 }
-                if schedule_iter(&mut s.jobs, &s.gpus, job, now, &mut s.seq, &mut s.heap).is_err() {
-                    abort_job(s, job, now);
-                }
+                s.emit(job, now, JobEventKind::Rebatched { batch: rg.batch });
+                s.start_iter(job, now);
             }
-            EV_PREEMPT => {
+            EventKind::Preempt => {
                 // Checkpoint copy drained: release every replica's
                 // reservation and put the victim back in the queue,
-                // resumable.
-                let held = std::mem::take(&mut s.jobs[job].gpus_held);
-                assert!(!held.is_empty(), "preempting job holds its gang");
-                let reserved = s.jobs[job].reserved;
+                // resumable. The reduced-batch clock pauses while the
+                // job sits on the host.
                 let j = &mut s.jobs[job];
-                j.preempting = false;
-                j.checkpoint = Some(Checkpoint {
-                    iters_done: j.iters_done,
-                    reserved,
-                    shrunk: j.shrunk,
-                    replay: j.replay.clone(),
-                    cur_batch: j.cur_batch,
-                    samples_done: j.samples_done,
-                });
-                // The reduced-batch clock pauses while the job sits
-                // on the host.
-                if let Some(since) = j.reduced_since.take() {
-                    j.elastic_reduced_time += now.saturating_since(since);
-                }
-                j.preempted_at = Some(now);
+                j.close_reduced(now);
                 j.queued_at = now;
-                s.preempting -= 1;
-                s.resident_jobs.remove(&job);
-                for &gpu in &held {
-                    s.release_on(gpu, reserved, now);
-                    remove_resident(&mut s.gpus[gpu], job);
-                }
+                let preempted = Phase::Preempted { since: now };
+                s.release_gang(job, now, preempted, JobEventKind::Preempted);
                 // All earlier queue entries have queued_at <= now, so
                 // appending preserves queue-entry order.
                 s.enqueue(job);
-                s.events.push(JobEvent {
-                    t: now,
-                    job: job as u64,
-                    name: s.jobs[job].spec.name.clone(),
-                    kind: JobEventKind::Preempted,
-                });
-                for &gpu in &held {
-                    reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-                }
             }
-            EV_RESUME => {
-                // Restore copy drained: rebuild the replay state from
-                // the checkpoint and continue from the saved cursor.
+            EventKind::Resume => {
+                // Restore copy drained: the job continues from its
+                // checkpointed cursor.
                 let j = &mut s.jobs[job];
-                let cp = j.checkpoint.take().expect("resuming job has a checkpoint");
-                j.iters_done = cp.iters_done;
-                j.shrunk = cp.shrunk;
-                j.replay = cp.replay;
-                j.cur_batch = cp.cur_batch;
-                j.samples_done = cp.samples_done;
+                if let Phase::Preempted { since } = j.phase {
+                    j.resume_latency += now.saturating_since(since);
+                }
                 if j.cur_batch < j.spec.batch.max(1) {
                     j.reduced_since = Some(now);
                 }
-                if let Some(at) = j.preempted_at.take() {
-                    j.resume_latency += now.saturating_since(at);
-                }
-                s.events.push(JobEvent {
-                    t: now,
-                    job: job as u64,
-                    name: s.jobs[job].spec.name.clone(),
-                    kind: JobEventKind::Resumed,
-                });
-                if schedule_iter(&mut s.jobs, &s.gpus, job, now, &mut s.seq, &mut s.heap).is_err() {
-                    abort_job(s, job, now);
-                }
+                s.emit(job, now, JobEventKind::Resumed);
+                s.start_iter(job, now);
             }
-            EV_REMEASURE => {
+            EventKind::Remeasure => {
                 // Mispredict checkpoint copy drained: the predicted
                 // grant is surrendered wholesale and the job re-enters
-                // admission on the measured path. Unlike EV_PREEMPT no
-                // checkpoint is kept — resuming one would regrant the
-                // insufficient budget verbatim.
-                let held = std::mem::take(&mut s.jobs[job].gpus_held);
-                assert!(!held.is_empty(), "recovering job holds its gang");
-                let reserved = s.jobs[job].reserved;
-                s.preempting -= 1;
-                s.resident_jobs.remove(&job);
-                for &gpu in &held {
-                    s.release_on(gpu, reserved, now);
-                    remove_resident(&mut s.gpus[gpu], job);
-                }
+                // admission on the measured path.
+                s.jobs[job].queued_at = now;
+                s.release_gang(job, now, Phase::Queued, JobEventKind::Preempted);
                 let spec = s.jobs[job].spec.clone();
                 let (est, base) = self.estimate_at(&spec, spec.batch);
                 // The re-measurement's engine runs bill the job whose
                 // prediction forced them, not whoever admits next.
                 self.charge_admission(&mut s.jobs[job]);
-                let capacity = self.cfg.spec.memory_bytes;
-                let needs = if spec.is_inference() {
-                    let kv = spec.kv_bytes_per_request;
-                    let max_in = spec.max_inflight.max(1) as u64;
-                    JobNeeds {
-                        full: base.full.saturating_add(max_in.saturating_mul(kv)),
-                        min: base.min.saturating_add(kv),
-                    }
-                } else {
-                    base
-                };
                 let j = &mut s.jobs[job];
-                j.preempting = false;
-                j.checkpoint = None;
                 j.admission_source = AdmissionSource::Measured;
-                j.base_needs = base;
-                j.needs = needs;
-                j.footprint = est.ideal_peak;
-                j.grad_bytes = if spec.is_inference() {
-                    0
-                } else {
-                    est.weight_bytes
-                };
-                j.queued_at = now;
-                s.events.push(JobEvent {
-                    t: now,
-                    job: job as u64,
-                    name: spec.name.clone(),
-                    kind: JobEventKind::Preempted,
-                });
-                for &gpu in &held {
-                    reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-                }
-                if needs.min <= capacity {
+                j.set_needs(&est, base);
+                if j.needs.min <= self.cfg.spec.memory_bytes {
                     s.enqueue(job);
                 } else {
                     // The measured truth does not fit a bare GPU: the
                     // prediction admitted an impossible job. Abort it —
                     // this is the one mispredict outcome that cannot be
                     // recovered by re-queueing.
-                    abort_job(s, job, now);
+                    s.finish(job, now, JobOutcome::Aborted);
                 }
             }
-            other => unreachable!("unknown event kind {other}"),
         }
     }
 
@@ -2225,54 +2343,19 @@ impl Cluster {
                 s.jobs[job].width(),
                 "strategy returned a partial gang"
             );
-            if let Some(cp) = &s.jobs[job].checkpoint {
+            if let Phase::Preempted { .. } = s.jobs[job].phase {
                 // Resume placement: regrant the checkpointed budget on
                 // every replica and charge the host-to-device restore
-                // copy before the first resumed iteration. On a shared
-                // fabric all replicas' restores serialize on the host
-                // link (and behind any other traffic in flight).
-                let grant = cp.reserved;
-                let copy = match s.fabric.as_mut() {
-                    Some(f) => {
-                        let bytes = grant * gang.len() as u64;
-                        let tr = f.host_transfer(now, bytes);
-                        s.transfers.push(ClusterTransfer {
-                            job: s.jobs[job].spec.name.clone(),
-                            iter: u64::MAX,
-                            label: "restore".to_owned(),
-                            link: "host".to_owned(),
-                            dir: CopyDir::HostToDevice,
-                            bytes,
-                            want: now,
-                            start: tr.start,
-                            end: tr.end,
-                            wait: tr.start.saturating_since(now),
-                            charge: Duration::ZERO,
-                            lead: Duration::ZERO,
-                        });
-                        tr.end.saturating_since(now)
-                    }
-                    None => self.cfg.spec.copy_time(grant, CopyDir::HostToDevice),
-                };
+                // copy before the first resumed iteration.
+                let grant = s.jobs[job].reserved;
+                s.grant(job, &gang, grant, now);
+                let dir = CopyDir::HostToDevice;
+                let end = s.host_copy(&self.cfg.spec, job, now, grant, dir, "restore");
                 let j = &mut s.jobs[job];
-                j.gpus_held = gang.clone();
-                j.reserved = grant;
-                j.checkpoint_overhead += copy;
+                j.checkpoint_overhead += end.saturating_since(now);
                 j.epoch += 1;
-                let (at, ep) = (now + copy, j.epoch);
-                s.dequeue(job);
-                s.resident_jobs.insert(job);
-                for &gpu in &gang {
-                    s.reserve_on(gpu, grant, now);
-                    let g = &mut s.gpus[gpu];
-                    g.resident.push(job);
-                    g.hosted += 1;
-                }
-                s.heap.push(ev(at, s.seq, EV_RESUME, job, ep));
-                s.seq += 1;
-                for &gpu in &gang {
-                    reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-                }
+                s.heap.push(end, EventKind::Resume, job, j.epoch);
+                s.reprice(&gang, now);
                 continue;
             }
             // Every replica gets the same grant: the tightest member
@@ -2293,7 +2376,7 @@ impl Cluster {
                 let kv = spec.kv_bytes_per_request;
                 let max_in = spec.max_inflight.max(1);
                 let b = grant
-                    .saturating_sub(kv.saturating_mul(max_in as u64))
+                    .saturating_sub(spec.kv_round_bytes())
                     .max(base.min)
                     .min(base.full);
                 // ≥ 1 when kv > 0: the published `min` priced one
@@ -2325,59 +2408,10 @@ impl Cluster {
             match validated {
                 Some(replay) => {
                     let j = &mut s.jobs[job];
-                    j.gpus_held = gang.clone();
-                    j.reserved = budget;
                     j.shrunk = shrunk;
-                    j.admitted_at = Some(now);
                     j.replay = replay;
                     j.lic_inflight = lic;
-                    s.dequeue(job);
-                    s.resident_jobs.insert(job);
-                    s.events.push(JobEvent {
-                        t: now,
-                        job: job as u64,
-                        name: spec.name.clone(),
-                        kind: JobEventKind::Admitted {
-                            gpus: gang.clone(),
-                            batch: spec.batch,
-                            reserved: budget,
-                        },
-                    });
-                    for &gpu in &gang {
-                        s.reserve_on(gpu, budget, now);
-                        let g = &mut s.gpus[gpu];
-                        g.resident.push(job);
-                        g.hosted += 1;
-                    }
-                    if spec.is_inference() {
-                        // No iteration yet: the serving loop below opens
-                        // the first round over the accumulated backlog.
-                        for &gpu in &gang {
-                            reprice_residents(
-                                &mut s.jobs,
-                                &s.gpus,
-                                gpu,
-                                now,
-                                &mut s.seq,
-                                &mut s.heap,
-                            );
-                        }
-                    } else if schedule_iter(&mut s.jobs, &s.gpus, job, now, &mut s.seq, &mut s.heap)
-                        .is_err()
-                    {
-                        abort_job(s, job, now);
-                    } else {
-                        for &gpu in &gang {
-                            reprice_residents(
-                                &mut s.jobs,
-                                &s.gpus,
-                                gpu,
-                                now,
-                                &mut s.seq,
-                                &mut s.heap,
-                            );
-                        }
-                    }
+                    s.admit(job, &gang, budget, spec.batch, now);
                 }
                 None => {
                     // The budget looked plannable but the engine run
@@ -2387,8 +2421,7 @@ impl Cluster {
                     // floor re-files the candidate under its new value.
                     let old = s.jobs[job].candidate(job).fit_threshold();
                     let j = &mut s.jobs[job];
-                    let e = j.failed.entry(j.spec.batch).or_insert(grant);
-                    *e = (*e).max(grant);
+                    j.record_failed(j.spec.batch, grant);
                     let key = j.queue_key.expect("picked candidate is queued");
                     let new = s.jobs[job].candidate(job).fit_threshold();
                     if old != new {
@@ -2525,56 +2558,18 @@ impl Cluster {
                         // record the stronger guarantee and skip
                         // mispredict verification.
                         j.admission_source = AdmissionSource::Measured;
-                        j.gpus_held = gang.clone();
-                        j.reserved = grant;
                         j.shrunk = shrunk;
-                        j.admitted_at = Some(now);
                         j.replay = replay;
                         j.cur_batch = batch;
                         j.rebatches += 1;
                         j.reduced_since = Some(now);
-                        s.dequeue(job);
-                        s.resident_jobs.insert(job);
-                        s.events.push(JobEvent {
-                            t: now,
-                            job: job as u64,
-                            name: spec.name.clone(),
-                            kind: JobEventKind::Admitted {
-                                gpus: gang.clone(),
-                                batch,
-                                reserved: grant,
-                            },
-                        });
-                        for &gpu in &gang {
-                            s.reserve_on(gpu, grant, now);
-                            let g = &mut s.gpus[gpu];
-                            g.resident.push(job);
-                            g.hosted += 1;
-                        }
-                        if schedule_iter(&mut s.jobs, &s.gpus, job, now, &mut s.seq, &mut s.heap)
-                            .is_err()
-                        {
-                            abort_job(s, job, now);
-                        } else {
-                            for &gpu in &gang {
-                                reprice_residents(
-                                    &mut s.jobs,
-                                    &s.gpus,
-                                    gpu,
-                                    now,
-                                    &mut s.seq,
-                                    &mut s.heap,
-                                );
-                            }
-                        }
+                        s.admit(job, &gang, grant, batch, now);
                     }
+                    // The failed record restricts this job's future
+                    // ladder probes — the queue generation moves so the
+                    // next settle retries it.
                     None => {
-                        // The failed record restricts this job's future
-                        // ladder probes — the queue generation moves so
-                        // the next settle retries it.
-                        let j = &mut s.jobs[job];
-                        let e = j.failed.entry(batch).or_insert(grant);
-                        *e = (*e).max(grant);
+                        s.jobs[job].record_failed(batch, grant);
                         s.queue_gen += 1;
                     }
                 }
@@ -2605,50 +2600,14 @@ impl Cluster {
         if self.cfg.preemption && s.preempting == 0 {
             if let Some(victim) = pick_preemption(s, now, self.cfg.aging_rate, self.cfg.slo_aware) {
                 // The whole gang checkpoints or none: every replica's
-                // reservation is copied out. On a shared fabric the
-                // replicas' copies serialize on the host link; with
-                // private lanes they drain in parallel.
-                let width = s.jobs[victim].gpus_held.len().max(1) as u64;
-                let copy = match s.fabric.as_mut() {
-                    Some(f) => {
-                        let bytes = s.jobs[victim].reserved * width;
-                        let tr = f.host_transfer(now, bytes);
-                        s.transfers.push(ClusterTransfer {
-                            job: s.jobs[victim].spec.name.clone(),
-                            iter: u64::MAX,
-                            label: "checkpoint".to_owned(),
-                            link: "host".to_owned(),
-                            dir: CopyDir::DeviceToHost,
-                            bytes,
-                            want: now,
-                            start: tr.start,
-                            end: tr.end,
-                            wait: tr.start.saturating_since(now),
-                            charge: Duration::ZERO,
-                            lead: Duration::ZERO,
-                        });
-                        tr.end.saturating_since(now)
-                    }
-                    None => self
-                        .cfg
-                        .spec
-                        .copy_time(s.jobs[victim].reserved, CopyDir::DeviceToHost),
-                };
-                let j = &mut s.jobs[victim];
-                j.preempting = true;
-                j.preemptions += 1;
-                j.checkpoint_overhead += copy;
-                // The interrupted iteration is lost: checkpoints only
-                // capture completed-iteration boundaries.
-                if j.iterating {
-                    j.wasted_work += now.saturating_since(j.iter_started);
-                    j.iterating = false;
-                }
-                j.epoch += 1;
-                let (at, epoch) = (now + copy, j.epoch);
-                s.preempting += 1;
-                s.heap.push(ev(at, s.seq, EV_PREEMPT, victim, epoch));
-                s.seq += 1;
+                // reservation is copied out.
+                s.start_checkpoint(
+                    &self.cfg.spec,
+                    victim,
+                    now,
+                    "checkpoint",
+                    EventKind::Preempt,
+                );
             }
         }
     }
@@ -2713,19 +2672,7 @@ impl Cluster {
                     model: j.spec.model.name().to_owned(),
                     batch: j.spec.batch,
                     policy: j.spec.policy.name().to_owned(),
-                    outcome: if j.rejected {
-                        JobOutcome::Rejected
-                    } else if j.finished_at.is_some() {
-                        JobOutcome::Completed
-                    } else if j.cancelled {
-                        JobOutcome::Cancelled
-                    } else if j.aborted {
-                        JobOutcome::Aborted
-                    } else if j.checkpoint.is_some() || j.preempting {
-                        JobOutcome::Preempted
-                    } else {
-                        JobOutcome::Starved
-                    },
+                    outcome: j.phase.outcome(),
                     replicas: j.spec.gpus,
                     gpus_used: j.gpus_held.clone(),
                     shrunk: j.shrunk,
@@ -2771,6 +2718,7 @@ impl Cluster {
                 }
             })
             .collect();
+        let count = |outcome| jobs.iter().filter(|j| j.phase.outcome() == outcome).count();
         let makespan_ns = makespan.as_nanos();
         let per_gpu: Vec<GpuStats> = s
             .gpus
@@ -2801,9 +2749,9 @@ impl Cluster {
             strategy: self.cfg.strategy.name().to_owned(),
             submitted: jobs.len(),
             completed: completed.len(),
-            cancelled: jobs.iter().filter(|j| j.cancelled).count(),
-            oom_rejections: jobs.iter().filter(|j| j.rejected).count(),
-            midrun_oom_aborts: jobs.iter().filter(|j| j.aborted).count(),
+            cancelled: count(JobOutcome::Cancelled),
+            oom_rejections: count(JobOutcome::Rejected),
+            midrun_oom_aborts: count(JobOutcome::Aborted),
             preemptions: jobs.iter().map(|j| j.preemptions as usize).sum(),
             rebatches: jobs.iter().map(|j| j.rebatches as usize).sum(),
             requests_served: total_requests,
@@ -2887,9 +2835,8 @@ fn settle_comm(
     };
     let k = j.gpus_held.len().max(1);
     let iter = j.iters_done;
-    let idx = (iter as usize).min(j.replay.len().saturating_sub(1));
     let mut charged = Duration::ZERO;
-    if let Some(it) = j.replay.get(idx) {
+    if let Some(it) = j.replay.get(j.replay_idx()) {
         // Replay the recorded timeline inside the just-finished
         // iteration's span: offsets are relative to the (uncontended)
         // iteration start, and contention only stretches the span, so
@@ -2996,7 +2943,7 @@ impl Cluster {
     /// (the grant clears what the truth actually requires) just records
     /// its error score. An under-shoot triggers checkpoint-preemption
     /// recovery: the boundary iteration is discarded as wasted work, the
-    /// state is copied to the host, and [`EV_REMEASURE`] re-enters
+    /// state is copied to the host, and [`EventKind::Remeasure`] re-enters
     /// admission on the measured path. Returns whether a recovery is now
     /// in flight (the caller must return without banking progress).
     fn verify_prediction(&mut self, s: &mut Session, job: usize, now: Time) -> bool {
@@ -3042,61 +2989,18 @@ impl Cluster {
         if spec.is_inference() {
             // Give the round's requests back to the queue in arrival
             // order and return their KV slots before checkpointing.
-            let n = s.jobs[job].inflight.len() as u64;
-            while let Some(t0) = s.jobs[job].inflight.pop() {
-                s.jobs[job].req_queue.push_front(t0);
+            let j = &mut s.jobs[job];
+            let kv = (spec.kv_bytes_per_request).saturating_mul(j.inflight.len() as u64);
+            while let Some(t0) = j.inflight.pop() {
+                j.req_queue.push_front(t0);
             }
-            let kv = spec.kv_bytes_per_request.saturating_mul(n);
             if kv > 0 {
-                let held = s.jobs[job].gpus_held.clone();
-                s.jobs[job].reserved -= kv;
-                for &gpu in &held {
-                    s.release_on(gpu, kv, now);
-                }
+                s.resize(job, s.jobs[job].reserved - kv, now);
             }
         }
-        let width = s.jobs[job].gpus_held.len().max(1) as u64;
-        let copy = match s.fabric.as_mut() {
-            Some(f) => {
-                let bytes = s.jobs[job].reserved * width;
-                let tr = f.host_transfer(now, bytes);
-                s.transfers.push(ClusterTransfer {
-                    job: s.jobs[job].spec.name.clone(),
-                    iter: u64::MAX,
-                    label: "mispredict-checkpoint".to_owned(),
-                    link: "host".to_owned(),
-                    dir: CopyDir::DeviceToHost,
-                    bytes,
-                    want: now,
-                    start: tr.start,
-                    end: tr.end,
-                    wait: tr.start.saturating_since(now),
-                    charge: Duration::ZERO,
-                    lead: Duration::ZERO,
-                });
-                tr.end.saturating_since(now)
-            }
-            None => self
-                .cfg
-                .spec
-                .copy_time(s.jobs[job].reserved, CopyDir::DeviceToHost),
-        };
-        let j = &mut s.jobs[job];
-        // The boundary iteration that exposed the mispredict is not
-        // banked: its compute is wasted work, like an interrupted
-        // iteration under preemption.
-        j.wasted_work += now.saturating_since(j.iter_started);
-        j.preemptions += 1;
-        j.checkpoint_overhead += copy;
-        j.preempting = true;
-        if let Some(since) = j.reduced_since.take() {
-            j.elastic_reduced_time += now.saturating_since(since);
-        }
-        j.epoch += 1;
-        let (at, epoch) = (now + copy, j.epoch);
-        s.preempting += 1;
-        s.heap.push(ev(at, s.seq, EV_REMEASURE, job, epoch));
-        s.seq += 1;
+        s.jobs[job].close_reduced(now);
+        let label = "mispredict-checkpoint";
+        s.start_checkpoint(&self.cfg.spec, job, now, label, EventKind::Remeasure);
         true
     }
 
@@ -3160,48 +3064,14 @@ impl Cluster {
             return;
         }
         let j = &mut s.jobs[job];
-        // Bank the consumed replay iteration's memory-management costs
-        // before the cursor advances (the same index `schedule_iter`
-        // read when it started this iteration).
-        if !j.replay.is_empty() {
-            let idx = (j.iters_done as usize).min(j.replay.len() - 1);
-            j.recompute_time += j.replay[idx].recompute_time;
-            j.evictions += j.replay[idx].evictions;
-        }
-        j.iters_done += 1;
+        j.bank_iteration();
         let step = (j.cur_batch as u64).min(j.samples_total.saturating_sub(j.samples_done));
         j.samples_done += step;
         let (iter, samples_done) = (j.iters_done, j.samples_done);
-        s.events.push(JobEvent {
-            t: now,
-            job: job as u64,
-            name: s.jobs[job].spec.name.clone(),
-            kind: JobEventKind::IterationDone { iter, samples_done },
-        });
-        let j = &mut s.jobs[job];
-        if j.samples_done >= j.samples_total {
-            assert!(!j.gpus_held.is_empty(), "running job holds its gang");
-            j.finished_at = Some(now);
-            if let Some(since) = j.reduced_since.take() {
-                j.elastic_reduced_time += now.saturating_since(since);
-            }
-            // `gpus_held` is kept for stats; only the reservations go.
-            let held = j.gpus_held.clone();
-            let reserved = j.reserved;
-            s.resident_jobs.remove(&job);
-            for &gpu in &held {
-                s.release_on(gpu, reserved, now);
-                remove_resident(&mut s.gpus[gpu], job);
-            }
-            s.events.push(JobEvent {
-                t: now,
-                job: job as u64,
-                name: s.jobs[job].spec.name.clone(),
-                kind: JobEventKind::Completed,
-            });
-            for &gpu in &held {
-                reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-            }
+        let done = j.samples_done >= j.samples_total;
+        s.emit(job, now, JobEventKind::IterationDone { iter, samples_done });
+        if done {
+            s.finish(job, now, JobOutcome::Completed);
             // A measured completion is ground truth: warm the predictor
             // so the next arrival of this family admits for free.
             self.feed_predictor(s, job);
@@ -3223,22 +3093,15 @@ impl Cluster {
         {
             return;
         }
-        if schedule_iter(&mut s.jobs, &s.gpus, job, now, &mut s.seq, &mut s.heap).is_err() {
-            abort_job(s, job, now);
-        }
+        s.start_iter(job, now);
     }
 
     /// Tries to grow `job`'s batch back toward the requested size using
     /// headroom on the GPUs it already holds (growth happens in place —
     /// the gang keeps its devices). Bisects the ladder candidates above
-    /// the current batch; on success the new reservation is claimed
-    /// immediately, the checkpoint (D2H of the old reservation) and
-    /// restore (H2D of the new) copies are charged on every replica —
-    /// re-planning at a new batch goes through the same
-    /// snapshot/restore path preemption uses
-    /// ([`capuchin_executor::Engine::restore_rebatched`]) — and
-    /// `EV_REGROW` fires when they drain. Returns whether a re-grow is
-    /// now in flight (the caller must not schedule the next iteration).
+    /// the current batch and hands the winner to [`Cluster::rebatch`].
+    /// Returns whether a re-grow is now in flight (the caller must not
+    /// schedule the next iteration).
     fn try_regrow(&mut self, s: &mut Session, job: usize, now: Time) -> bool {
         let cur = s.jobs[job].cur_batch;
         let above: Vec<usize> =
@@ -3270,86 +3133,59 @@ impl Cluster {
         self.charge_admission(&mut s.jobs[job]);
         let Some(batch) = chosen else { return false };
         let needs = self.estimate_at(&s.jobs[job].spec, batch).1;
-        let grant = free.min(needs.full);
-        let shrunk = grant < needs.full;
+        let labels = ["regrow-checkpoint", "regrow-restore"];
+        self.rebatch(s, job, now, batch, free.min(needs.full), needs.full, labels)
+    }
+
+    /// The shared tail of an elastic batch change (a re-grow or a burst
+    /// shrink) to `batch` at a `grant` reservation below a `full` need:
+    /// validate the new replay — a failure is recorded and the job keeps
+    /// its batch — then upgrade a predicted provenance to the stronger
+    /// measured guarantee, charge the batch change like a preemption
+    /// round-trip (device-to-host of the old reservation, then
+    /// host-to-device of the new, on every replica — re-planning at a new
+    /// batch goes through the same snapshot/restore path preemption uses,
+    /// [`capuchin_executor::Engine::restore_rebatched`]), and claim the
+    /// new reservation immediately: no placement decided during the copy
+    /// window can over-commit a grown batch, and a shrink's freed bytes
+    /// are claimable by the blocked burst in this very settle pass. The
+    /// new replay takes effect at [`EventKind::Regrow`]. Returns whether
+    /// the change is in flight.
+    #[allow(clippy::too_many_arguments)]
+    fn rebatch(
+        &mut self,
+        s: &mut Session,
+        job: usize,
+        now: Time,
+        batch: usize,
+        grant: u64,
+        full: u64,
+        labels: [&str; 2],
+    ) -> bool {
+        let shrunk = grant < full;
         let spec = s.jobs[job].spec.clone();
         let validated = self.validated_replay(&spec, batch, grant, shrunk);
         self.charge_admission(&mut s.jobs[job]);
         let Some(replay) = validated else {
-            let j = &mut s.jobs[job];
-            let e = j.failed.entry(batch).or_insert(grant);
-            *e = (*e).max(grant);
+            s.jobs[job].record_failed(batch, grant);
             return false;
         };
-        // The regrown grant was engine-validated: upgrade a predicted
-        // provenance to the stronger measured guarantee.
         s.jobs[job].admission_source = AdmissionSource::Measured;
-        // Charge the batch change like a preemption round-trip: D2H of
-        // the old reservation, then H2D of the new, on every replica. On
-        // a shared fabric both serialize on the host link.
-        let width = s.jobs[job].gpus_held.len().max(1) as u64;
-        let copy = match s.fabric.as_mut() {
-            Some(f) => {
-                let out_bytes = old * width;
-                let out = f.host_transfer(now, out_bytes);
-                s.transfers.push(ClusterTransfer {
-                    job: s.jobs[job].spec.name.clone(),
-                    iter: u64::MAX,
-                    label: "regrow-checkpoint".to_owned(),
-                    link: "host".to_owned(),
-                    dir: CopyDir::DeviceToHost,
-                    bytes: out_bytes,
-                    want: now,
-                    start: out.start,
-                    end: out.end,
-                    wait: out.start.saturating_since(now),
-                    charge: Duration::ZERO,
-                    lead: Duration::ZERO,
-                });
-                let back_bytes = grant * width;
-                let back = f.host_transfer(out.end, back_bytes);
-                s.transfers.push(ClusterTransfer {
-                    job: s.jobs[job].spec.name.clone(),
-                    iter: u64::MAX,
-                    label: "regrow-restore".to_owned(),
-                    link: "host".to_owned(),
-                    dir: CopyDir::HostToDevice,
-                    bytes: back_bytes,
-                    want: out.end,
-                    start: back.start,
-                    end: back.end,
-                    wait: back.start.saturating_since(out.end),
-                    charge: Duration::ZERO,
-                    lead: Duration::ZERO,
-                });
-                back.end.saturating_since(now)
-            }
-            None => {
-                self.cfg.spec.copy_time(old, CopyDir::DeviceToHost)
-                    + self.cfg.spec.copy_time(grant, CopyDir::HostToDevice)
-            }
-        };
-        // Claim the new reservation immediately: no placement decided
-        // during the copy window can over-commit the headroom the grown
-        // batch is about to occupy.
-        let held = s.jobs[job].gpus_held.clone();
-        for &gpu in &held {
-            s.release_on(gpu, old, now);
-            s.reserve_on(gpu, grant, now);
-        }
+        let dev = &self.cfg.spec;
+        let old = s.jobs[job].reserved;
+        let out = s.host_copy(dev, job, now, old, CopyDir::DeviceToHost, labels[0]);
+        let end = s.host_copy(dev, job, out, grant, CopyDir::HostToDevice, labels[1]);
+        s.resize(job, grant, now);
         let j = &mut s.jobs[job];
-        j.reserved = grant;
-        j.checkpoint_overhead += copy;
+        j.checkpoint_overhead += end.saturating_since(now);
         j.rebatches += 1;
-        j.pending_regrow = Some(Regrow {
+        j.phase = Phase::Regrowing(Regrow {
             batch,
             shrunk,
             replay,
         });
         j.epoch += 1;
-        let (at, epoch) = (now + copy, j.epoch);
-        s.heap.push(ev(at, s.seq, EV_REGROW, job, epoch));
-        s.seq += 1;
+        s.heap.push(end, EventKind::Regrow, job, j.epoch);
         true
     }
 
@@ -3371,8 +3207,7 @@ impl Cluster {
         let u = j.req_rng.unit_f64().max(1e-12);
         let rate = j.spec.request_rate.max(1e-9);
         let gap = Duration::from_secs_f64(-u.ln() / rate);
-        s.heap.push(ev(now + gap, s.seq, EV_REQ_ARRIVE, job, 0));
-        s.seq += 1;
+        s.heap.push(now + gap, EventKind::Request, job, 0);
     }
 
     /// Opens a serving round for a resident, idle inference job: up to
@@ -3387,14 +3222,8 @@ impl Cluster {
         {
             let j = &s.jobs[job];
             if !j.spec.is_inference()
-                || j.gpus_held.is_empty()
-                || j.iterating
-                || j.preempting
+                || !matches!(j.phase, Phase::Barrier)
                 || !j.inflight.is_empty()
-                || j.pending_regrow.is_some()
-                || j.cancelled
-                || j.aborted
-                || j.finished_at.is_some()
                 || j.req_queue.is_empty()
             {
                 return;
@@ -3402,32 +3231,27 @@ impl Cluster {
         }
         let kv = s.jobs[job].spec.kv_bytes_per_request;
         let lic = s.jobs[job].spec.max_inflight.max(1);
-        let held = s.jobs[job].gpus_held.clone();
         let mut admitted = 0usize;
         while admitted < lic && !s.jobs[job].req_queue.is_empty() {
             if kv > 0 {
                 // Every replica mirrors the KV state, so the tightest
                 // held device gates each admission individually — the
                 // round never over-commits by a single request.
+                let held = &s.jobs[job].gpus_held;
                 if !held.iter().all(|&g| s.pool.headroom(g) >= kv) {
                     break;
                 }
-                for &gpu in &held {
-                    s.reserve_on(gpu, kv, now);
-                }
-                s.jobs[job].reserved += kv;
+                s.resize(job, s.jobs[job].reserved + kv, now);
             }
-            let t0 = s.jobs[job]
+            let j = &mut s.jobs[job];
+            let t0 = j
                 .req_queue
                 .pop_front()
                 .expect("loop condition checked non-empty");
-            s.jobs[job].inflight.push(t0);
+            j.inflight.push(t0);
             admitted += 1;
         }
-        if admitted > 0
-            && schedule_iter(&mut s.jobs, &s.gpus, job, now, &mut s.seq, &mut s.heap).is_err()
-        {
-            abort_job(s, job, now);
+        if admitted > 0 && !s.start_iter(job, now) {
             return;
         }
         if admitted < lic && !s.jobs[job].req_queue.is_empty() {
@@ -3449,12 +3273,7 @@ impl Cluster {
             return;
         }
         let j = &mut s.jobs[job];
-        if !j.replay.is_empty() {
-            let idx = (j.iters_done as usize).min(j.replay.len() - 1);
-            j.recompute_time += j.replay[idx].recompute_time;
-            j.evictions += j.replay[idx].evictions;
-        }
-        j.iters_done += 1;
+        j.bank_iteration();
         let served = std::mem::take(&mut j.inflight);
         let n = served.len() as u64;
         j.requests_served += n;
@@ -3462,62 +3281,24 @@ impl Cluster {
         // throughput accounting meaningful for serving jobs.
         j.samples_done = j.requests_served;
         let (iter, samples_done) = (j.iters_done, j.samples_done);
-        let name = j.spec.name.clone();
         let slo_ns = j.slo_ns;
-        s.events.push(JobEvent {
-            t: now,
-            job: job as u64,
-            name: name.clone(),
-            kind: JobEventKind::IterationDone { iter, samples_done },
-        });
+        s.emit(job, now, JobEventKind::IterationDone { iter, samples_done });
         for &t0 in &served {
             let lat = now.saturating_since(t0);
             s.jobs[job].latencies.push(lat.as_nanos());
-            s.events.push(JobEvent {
-                t: now,
-                job: job as u64,
-                name: name.clone(),
-                kind: JobEventKind::RequestServed { latency: lat },
-            });
+            s.emit(job, now, JobEventKind::RequestServed { latency: lat });
             if slo_ns > 0 && lat.as_nanos() > slo_ns {
                 s.jobs[job].slo_misses += 1;
-                s.events.push(JobEvent {
-                    t: now,
-                    job: job as u64,
-                    name: name.clone(),
-                    kind: JobEventKind::SloMissed { latency: lat },
-                });
+                s.emit(job, now, JobEventKind::SloMissed { latency: lat });
             }
         }
         // The round's KV state drains with it.
         let kv = s.jobs[job].spec.kv_bytes_per_request.saturating_mul(n);
         if kv > 0 {
-            let held = s.jobs[job].gpus_held.clone();
-            for &gpu in &held {
-                s.release_on(gpu, kv, now);
-            }
-            s.jobs[job].reserved -= kv;
+            s.resize(job, s.jobs[job].reserved - kv, now);
         }
-        let j = &mut s.jobs[job];
-        if j.requests_served >= j.spec.requests {
-            assert!(!j.gpus_held.is_empty(), "serving job holds its gang");
-            j.finished_at = Some(now);
-            let held = j.gpus_held.clone();
-            let reserved = j.reserved;
-            s.resident_jobs.remove(&job);
-            for &gpu in &held {
-                s.release_on(gpu, reserved, now);
-                remove_resident(&mut s.gpus[gpu], job);
-            }
-            s.events.push(JobEvent {
-                t: now,
-                job: job as u64,
-                name,
-                kind: JobEventKind::Completed,
-            });
-            for &gpu in &held {
-                reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-            }
+        if s.jobs[job].requests_served >= s.jobs[job].spec.requests {
+            s.finish(job, now, JobOutcome::Completed);
             self.feed_predictor(s, job);
             return;
         }
@@ -3559,8 +3340,7 @@ impl Cluster {
                     let t = &jobs[v];
                     t.spec.class == JobClass::Training
                         && t.spec.elastic
-                        && !t.preempting
-                        && t.pending_regrow.is_none()
+                        && !matches!(t.phase, Phase::Checkpointing | Phase::Regrowing(_))
                         && t.pending_shrink.is_none()
                         && deficient.iter().all(|d| t.gpus_held.contains(d))
                 })
@@ -3600,83 +3380,13 @@ impl Cluster {
         if grant < needs.min {
             return false;
         }
-        let shrunk = grant < needs.full;
-        let spec = s.jobs[job].spec.clone();
-        let validated = self.validated_replay(&spec, target, grant, shrunk);
-        self.charge_admission(&mut s.jobs[job]);
-        let Some(replay) = validated else {
-            let j = &mut s.jobs[job];
-            let e = j.failed.entry(target).or_insert(grant);
-            *e = (*e).max(grant);
+        let labels = ["shrink-checkpoint", "shrink-restore"];
+        if !self.rebatch(s, job, now, target, grant, needs.full, labels) {
             return false;
-        };
-        // Same provenance upgrade as re-grow: the shrunk grant is now
-        // engine-validated.
-        s.jobs[job].admission_source = AdmissionSource::Measured;
-        let width = s.jobs[job].gpus_held.len().max(1) as u64;
-        let copy = match s.fabric.as_mut() {
-            Some(f) => {
-                let out_bytes = old * width;
-                let out = f.host_transfer(now, out_bytes);
-                s.transfers.push(ClusterTransfer {
-                    job: s.jobs[job].spec.name.clone(),
-                    iter: u64::MAX,
-                    label: "shrink-checkpoint".to_owned(),
-                    link: "host".to_owned(),
-                    dir: CopyDir::DeviceToHost,
-                    bytes: out_bytes,
-                    want: now,
-                    start: out.start,
-                    end: out.end,
-                    wait: out.start.saturating_since(now),
-                    charge: Duration::ZERO,
-                    lead: Duration::ZERO,
-                });
-                let back_bytes = grant * width;
-                let back = f.host_transfer(out.end, back_bytes);
-                s.transfers.push(ClusterTransfer {
-                    job: s.jobs[job].spec.name.clone(),
-                    iter: u64::MAX,
-                    label: "shrink-restore".to_owned(),
-                    link: "host".to_owned(),
-                    dir: CopyDir::HostToDevice,
-                    bytes: back_bytes,
-                    want: out.end,
-                    start: back.start,
-                    end: back.end,
-                    wait: back.start.saturating_since(out.end),
-                    charge: Duration::ZERO,
-                    lead: Duration::ZERO,
-                });
-                back.end.saturating_since(now)
-            }
-            None => {
-                self.cfg.spec.copy_time(old, CopyDir::DeviceToHost)
-                    + self.cfg.spec.copy_time(grant, CopyDir::HostToDevice)
-            }
-        };
-        // The freed bytes return to the pool now, not when the copies
-        // drain: the whole point is that the blocked burst can claim
-        // them in this very settle pass.
-        let held = s.jobs[job].gpus_held.clone();
-        for &gpu in &held {
-            s.release_on(gpu, old - grant, now);
         }
         let j = &mut s.jobs[job];
-        j.reserved = grant;
-        j.checkpoint_overhead += copy;
-        j.rebatches += 1;
         j.burst_shrinks += 1;
         j.shrunk_for_burst = true;
-        j.pending_regrow = Some(Regrow {
-            batch: target,
-            shrunk,
-            replay,
-        });
-        j.epoch += 1;
-        let (at, epoch) = (now + copy, j.epoch);
-        s.heap.push(ev(at, s.seq, EV_REGROW, job, epoch));
-        s.seq += 1;
         true
     }
 }
@@ -3705,113 +3415,6 @@ fn contention_factor(jobs: &[JobRun], gpus: &[GpuState], job: usize) -> f64 {
         .max()
         .unwrap_or(1)
         .max(1) as f64
-}
-
-/// Schedules the end of `job`'s next iteration's compute: recorded wall
-/// time (the validation run's final wall repeats past its length) scaled
-/// by the gang's contention factor. Re-pricing adjusts the end later if
-/// residency changes mid-iteration; boundary communication is charged
-/// separately when the compute drains.
-///
-/// # Errors
-///
-/// Returns [`EmptyWalls`] when the job has no replay trace — admission
-/// rejects such traces, so this is a defence, not a path.
-fn schedule_iter(
-    jobs: &mut [JobRun],
-    gpus: &[GpuState],
-    job: usize,
-    now: Time,
-    seq: &mut u64,
-    heap: &mut BinaryHeap<Event>,
-) -> Result<(), EmptyWalls> {
-    assert!(
-        !jobs[job].gpus_held.is_empty(),
-        "scheduled job holds a gang"
-    );
-    let k = contention_factor(jobs, gpus, job);
-    let j = &mut jobs[job];
-    if j.replay.is_empty() {
-        return Err(EmptyWalls);
-    }
-    let idx = (j.iters_done as usize).min(j.replay.len() - 1);
-    let wall = j.replay[idx].wall;
-    j.iter_wall = wall;
-    j.iter_k = k;
-    j.iter_progress = 0.0;
-    j.iter_started = now;
-    j.iter_priced_at = now;
-    j.iterating = true;
-    let end = now + wall.mul_f64(k);
-    heap.push(ev(end, *seq, EV_ITER_END, job, j.epoch));
-    *seq += 1;
-    Ok(())
-}
-
-/// Re-prices every in-flight iteration on `gpu` after its resident set
-/// changed at `now`: progress accrued under the old contention factor is
-/// banked, the remainder is rescaled to the new factor, and a fresh
-/// iteration-end event supersedes the stale one (epoch bump). A gang's
-/// factor spans all its GPUs, so a residency change on one device
-/// re-prices gang-mates whose other devices are untouched.
-fn reprice_residents(
-    jobs: &mut [JobRun],
-    gpus: &[GpuState],
-    gpu: usize,
-    now: Time,
-    seq: &mut u64,
-    heap: &mut BinaryHeap<Event>,
-) {
-    let residents = gpus[gpu].resident.clone();
-    for r in residents {
-        let k = contention_factor(jobs, gpus, r);
-        let j = &mut jobs[r];
-        if !j.iterating || j.iter_k == k {
-            continue;
-        }
-        let base = j.iter_wall.as_nanos() as f64;
-        if base > 0.0 {
-            let elapsed = now.saturating_since(j.iter_priced_at).as_nanos() as f64;
-            j.iter_progress = (j.iter_progress + elapsed / (j.iter_k * base)).min(1.0);
-        } else {
-            j.iter_progress = 1.0;
-        }
-        j.iter_k = k;
-        j.iter_priced_at = now;
-        let remaining = Duration::from_nanos(((1.0 - j.iter_progress) * k * base).round() as u64);
-        j.epoch += 1;
-        heap.push(ev(now + remaining, *seq, EV_ITER_END, r, j.epoch));
-        *seq += 1;
-    }
-}
-
-/// Evicts `job` as a mid-run abort: every replica's reservation is
-/// released, its events are invalidated, and it counts toward
-/// `midrun_oom_aborts`.
-fn abort_job(s: &mut Session, job: usize, now: Time) {
-    let j = &mut s.jobs[job];
-    j.aborted = true;
-    j.iterating = false;
-    if let Some(since) = j.reduced_since.take() {
-        j.elastic_reduced_time += now.saturating_since(since);
-    }
-    j.epoch += 1;
-    let held = std::mem::take(&mut j.gpus_held);
-    let reserved = j.reserved;
-    s.resident_jobs.remove(&job);
-    for &gpu in &held {
-        s.release_on(gpu, reserved, now);
-        remove_resident(&mut s.gpus[gpu], job);
-    }
-    s.events.push(JobEvent {
-        t: now,
-        job: job as u64,
-        name: s.jobs[job].spec.name.clone(),
-        kind: JobEventKind::Aborted,
-    });
-    for &gpu in &held {
-        reprice_residents(&mut s.jobs, &s.gpus, gpu, now, &mut s.seq, &mut s.heap);
-    }
 }
 
 /// Selects a preemption victim, or `None` when preemption cannot help.
@@ -3870,7 +3473,7 @@ fn pick_preemption(s: &Session, now: Time, aging_rate: f64, slo_aware: bool) -> 
         .pending
         .values()
         .copied()
-        .filter(|&p| jobs[p].checkpoint.is_none())
+        .filter(|&p| !matches!(jobs[p].phase, Phase::Preempted { .. }))
         .collect();
     waiters.sort_by_cached_key(|&a| {
         (
@@ -3896,7 +3499,7 @@ fn pick_preemption(s: &Session, now: Time, aging_rate: f64, slo_aware: bool) -> 
             .iter()
             .copied()
             .filter(|&v| jobs[v].spec.class == JobClass::Training)
-            .filter(|&v| jobs[v].iterating && !jobs[v].preempting)
+            .filter(|&v| matches!(jobs[v].phase, Phase::Running))
             .filter(|&v| (jobs[v].spec.priority as u128) * 1000 < ep)
             .collect();
         victims.sort_by_key(|&v| (jobs[v].spec.priority, v));
@@ -4189,24 +3792,27 @@ mod tests {
         }]);
         let mut gpus = vec![GpuState::new(1 << 30)];
         gpus[0].resident.push(0);
-        let mut seq = 0;
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-        schedule_iter(&mut jobs, &gpus, 0, Time::ZERO, &mut seq, &mut heap).unwrap();
-        let Reverse((end, _, _, _, _, epoch)) = *heap.peek().unwrap();
-        assert_eq!(end, Duration::from_millis(100).as_nanos());
-        assert_eq!(epoch, jobs[0].epoch);
+        let mut s = Session {
+            jobs,
+            gpus,
+            ..Session::default()
+        };
+        s.schedule_iter(0, Time::ZERO).unwrap();
+        let e = s.heap.peek().unwrap();
+        assert_eq!(e.at.as_nanos(), Duration::from_millis(100).as_nanos());
+        assert_eq!(e.epoch, s.jobs[0].epoch);
         // A neighbour joins at t = 40 ms: 60 ms of base wall remain, now
         // at 2× -> new end at 40 + 120 = 160 ms.
-        gpus[0].resident.push(1);
-        jobs.push(JobRun::new(&jobs[0].spec.clone(), 1));
+        s.gpus[0].resident.push(1);
+        s.jobs.push(JobRun::new(&s.jobs[0].spec.clone(), 1));
         let at = Time::ZERO + Duration::from_millis(40);
-        reprice_residents(&mut jobs, &gpus, 0, at, &mut seq, &mut heap);
-        let newest = heap
+        s.reprice(&[0], at);
+        let newest = s
+            .heap
             .iter()
-            .find(|Reverse((_, _, _, _, job, ep))| *job == 0 && *ep == jobs[0].epoch)
+            .find(|e| e.job == 0 && e.epoch == s.jobs[0].epoch)
             .expect("re-priced event exists");
-        let Reverse((end, _, _, _, _, _)) = *newest;
-        assert_eq!(end, Duration::from_millis(160).as_nanos());
+        assert_eq!(newest.at.as_nanos(), Duration::from_millis(160).as_nanos());
     }
 
     /// Empty replay traces are rejected: `schedule_iter` refuses to
@@ -4215,14 +3821,13 @@ mod tests {
     fn schedule_iter_rejects_empty_walls() {
         let mut jobs = vec![JobRun::new(&small_workload()[0], 0)];
         jobs[0].gpus_held = vec![0];
-        let gpus = vec![GpuState::new(1 << 30)];
-        let mut seq = 0;
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-        assert_eq!(
-            schedule_iter(&mut jobs, &gpus, 0, Time::ZERO, &mut seq, &mut heap),
-            Err(EmptyWalls)
-        );
-        assert!(heap.is_empty());
+        let mut s = Session {
+            jobs,
+            gpus: vec![GpuState::new(1 << 30)],
+            ..Session::default()
+        };
+        assert_eq!(s.schedule_iter(0, Time::ZERO), Err(EmptyWalls));
+        assert!(s.heap.peek().is_none());
     }
 
     /// On a contended single GPU, best-fit with preemption starts a
@@ -4626,5 +4231,68 @@ mod tests {
         }
         let billed: u64 = stats.jobs.iter().map(|j| j.admission_validations).sum();
         assert_eq!(billed, cluster.validation_runs());
+    }
+
+    /// Request arrivals ignore epochs; only a terminal job silences them.
+    /// Cancelling a resident inference job while arrivals are still
+    /// scheduled must drop them all: the clock goes idle (`has_work`
+    /// agrees with `step`), no request arrives after the cancel, served
+    /// counts freeze, and a co-resident training job still completes.
+    #[test]
+    fn cancelled_inference_silences_its_scheduled_requests() {
+        let train = JobSpec {
+            name: "train".into(),
+            model: capuchin_models::ModelKind::ResNet50,
+            batch: 16,
+            policy: JobPolicy::TfOri,
+            iters: 200,
+            ..JobSpec::default()
+        };
+        let serve = JobSpec {
+            name: "serve".into(),
+            model: capuchin_models::ModelKind::ResNet50,
+            batch: 16,
+            policy: JobPolicy::TfOri,
+            ..JobSpec::default()
+        }
+        .into_inference(4.0, 250.0, 400, 64 << 20, 2);
+        let cfg = ClusterConfig::builder()
+            .gpus(1)
+            .admission(AdmissionMode::TfOri)
+            .build()
+            .unwrap();
+        let mut cluster = Cluster::new(cfg);
+        let t = cluster.submit(&train);
+        let inf = cluster.submit(&serve);
+        assert!(cluster.advance_to(Time::ZERO + Duration::from_secs_f64(2.0)));
+        let status = |c: &Cluster, id| c.status(id).unwrap().state;
+        assert_eq!(status(&cluster, inf), JobState::Running);
+        assert_eq!(status(&cluster, t), JobState::Running);
+        let served = cluster.stats().jobs[inf].requests_served;
+        assert!(served > 0 && served < serve.requests, "served {served}");
+        cluster.take_events();
+        cluster.cancel(inf).unwrap();
+        let far = Time::ZERO + Duration::from_secs_f64(1e6);
+        assert!(
+            !cluster.advance_to(far),
+            "stale request arrivals kept the clock busy"
+        );
+        assert!(!cluster.has_work());
+        assert!(!cluster.step());
+        let events = cluster.take_events();
+        let cancelled = events
+            .iter()
+            .position(|e| e.job == inf as u64 && e.kind == JobEventKind::Cancelled)
+            .expect("cancel is logged");
+        assert!(
+            !events[cancelled..]
+                .iter()
+                .any(|e| e.job == inf as u64 && e.kind == JobEventKind::RequestArrived),
+            "a request arrived after the cancel"
+        );
+        let stats = cluster.stats();
+        assert_eq!(stats.jobs[inf].requests_served, served);
+        assert_eq!(stats.jobs[inf].outcome, JobOutcome::Cancelled);
+        assert_eq!(stats.jobs[t].outcome, JobOutcome::Completed);
     }
 }

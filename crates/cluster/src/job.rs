@@ -268,6 +268,90 @@ impl JobSpec {
         self.max_inflight = max_inflight;
         self
     }
+
+    /// Checks that the spec could ever be scheduled on a cluster of
+    /// `cluster_gpus` devices whose elastic batch floor is
+    /// `min_batch_fraction` (pass the cluster's configured fraction; it
+    /// only constrains jobs marked `elastic`) and whose widest
+    /// interconnect link domain spans `link_domain_gpus` devices (pass
+    /// `cluster_gpus` for a flat interconnect; it only constrains
+    /// inference gangs). Every input boundary — job files, wire
+    /// submissions — runs this one validator.
+    ///
+    /// # Errors
+    ///
+    /// [`JobFileError::ZeroGpus`] / [`JobFileError::GangTooLarge`] for gang
+    /// sizes that could never be placed,
+    /// [`JobFileError::ElasticFloorTooSmall`] for elastic gangs whose batch
+    /// floor would drive the per-replica batch below 1, and
+    /// [`JobFileError::BadSlo`] / [`JobFileError::BadRequestRate`] /
+    /// [`JobFileError::ZeroRequests`] / [`JobFileError::ElasticInference`] /
+    /// [`JobFileError::InferenceGangTooWide`] for inference jobs whose
+    /// arrival process, SLO, or gang shape could never be served (all
+    /// caught here instead of surfacing as a late scheduler panic).
+    pub fn validate(
+        &self,
+        cluster_gpus: usize,
+        min_batch_fraction: f64,
+        link_domain_gpus: usize,
+    ) -> Result<(), JobFileError> {
+        if self.gpus == 0 {
+            return Err(JobFileError::ZeroGpus {
+                job: self.name.clone(),
+            });
+        }
+        if self.gpus > cluster_gpus {
+            return Err(JobFileError::GangTooLarge {
+                job: self.name.clone(),
+                gpus: self.gpus,
+                cluster: cluster_gpus,
+            });
+        }
+        if self.elastic {
+            let floor = *capuchin::elastic_batches(self.batch, min_batch_fraction)
+                .last()
+                .expect("ladder is never empty");
+            if floor < self.gpus {
+                return Err(JobFileError::ElasticFloorTooSmall {
+                    job: self.name.clone(),
+                    floor,
+                    gpus: self.gpus,
+                });
+            }
+        }
+        if self.is_inference() {
+            if !self.slo_ms.is_finite() || self.slo_ms <= 0.0 {
+                return Err(JobFileError::BadSlo {
+                    job: self.name.clone(),
+                    slo_ms: self.slo_ms,
+                });
+            }
+            if !self.request_rate.is_finite() || self.request_rate <= 0.0 {
+                return Err(JobFileError::BadRequestRate {
+                    job: self.name.clone(),
+                    rate: self.request_rate,
+                });
+            }
+            if self.requests == 0 {
+                return Err(JobFileError::ZeroRequests {
+                    job: self.name.clone(),
+                });
+            }
+            if self.elastic {
+                return Err(JobFileError::ElasticInference {
+                    job: self.name.clone(),
+                });
+            }
+            if self.gpus > link_domain_gpus {
+                return Err(JobFileError::InferenceGangTooWide {
+                    job: self.name.clone(),
+                    gpus: self.gpus,
+                    domain: link_domain_gpus,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The per-job feature vector of predictive admission: the three knobs
@@ -473,29 +557,16 @@ impl std::fmt::Display for JobFileError {
 impl std::error::Error for JobFileError {}
 
 /// Parses a workload file — a JSON array of [`JobSpec`] objects — and
-/// validates every gang against a cluster of `cluster_gpus` devices whose
-/// elastic batch floor is `min_batch_fraction` (pass the cluster's
-/// configured fraction; it only constrains jobs marked `"elastic": true`)
-/// and whose widest interconnect link domain spans `link_domain_gpus`
-/// devices (pass `cluster_gpus` for a flat interconnect; it only
-/// constrains inference gangs). A missing `"gpus"` key means a single-GPU
-/// job; a missing `"elastic"` key means a rigid one; a missing `"class"`
-/// key means a training job, so pre-existing workload files keep parsing
-/// byte-identically.
+/// validates every spec with [`JobSpec::validate`]. A missing `"gpus"`
+/// key means a single-GPU job; a missing `"elastic"` key means a rigid
+/// one; a missing `"class"` key means a training job, so pre-existing
+/// workload files keep parsing byte-identically.
 ///
 /// # Errors
 ///
 /// [`JobFileError::Parse`] on malformed JSON or a bad job shape,
-/// [`JobFileError::Empty`] on an empty array,
-/// [`JobFileError::ZeroGpus`] / [`JobFileError::GangTooLarge`] for gang
-/// sizes that could never be placed,
-/// [`JobFileError::ElasticFloorTooSmall`] for elastic gangs whose batch
-/// floor would drive the per-replica batch below 1, and
-/// [`JobFileError::BadSlo`] / [`JobFileError::BadRequestRate`] /
-/// [`JobFileError::ZeroRequests`] / [`JobFileError::ElasticInference`] /
-/// [`JobFileError::InferenceGangTooWide`] for inference jobs whose
-/// arrival process, SLO, or gang shape could never be served (all caught
-/// here, at parse time, instead of surfacing as a late scheduler panic).
+/// [`JobFileError::Empty`] on an empty array, and the first
+/// [`JobSpec::validate`] error of any spec.
 pub fn load_jobs(
     json: &str,
     cluster_gpus: usize,
@@ -508,61 +579,7 @@ pub fn load_jobs(
         return Err(JobFileError::Empty);
     }
     for job in &jobs {
-        if job.gpus == 0 {
-            return Err(JobFileError::ZeroGpus {
-                job: job.name.clone(),
-            });
-        }
-        if job.gpus > cluster_gpus {
-            return Err(JobFileError::GangTooLarge {
-                job: job.name.clone(),
-                gpus: job.gpus,
-                cluster: cluster_gpus,
-            });
-        }
-        if job.elastic {
-            let floor = *capuchin::elastic_batches(job.batch, min_batch_fraction)
-                .last()
-                .expect("ladder is never empty");
-            if floor < job.gpus {
-                return Err(JobFileError::ElasticFloorTooSmall {
-                    job: job.name.clone(),
-                    floor,
-                    gpus: job.gpus,
-                });
-            }
-        }
-        if job.is_inference() {
-            if !job.slo_ms.is_finite() || job.slo_ms <= 0.0 {
-                return Err(JobFileError::BadSlo {
-                    job: job.name.clone(),
-                    slo_ms: job.slo_ms,
-                });
-            }
-            if !job.request_rate.is_finite() || job.request_rate <= 0.0 {
-                return Err(JobFileError::BadRequestRate {
-                    job: job.name.clone(),
-                    rate: job.request_rate,
-                });
-            }
-            if job.requests == 0 {
-                return Err(JobFileError::ZeroRequests {
-                    job: job.name.clone(),
-                });
-            }
-            if job.elastic {
-                return Err(JobFileError::ElasticInference {
-                    job: job.name.clone(),
-                });
-            }
-            if job.gpus > link_domain_gpus {
-                return Err(JobFileError::InferenceGangTooWide {
-                    job: job.name.clone(),
-                    gpus: job.gpus,
-                    domain: link_domain_gpus,
-                });
-            }
-        }
+        job.validate(cluster_gpus, min_batch_fraction, link_domain_gpus)?;
     }
     Ok(jobs)
 }

@@ -15,8 +15,8 @@
 //! subscriber's stream is always complete (modulo explicit `dropped`
 //! markers) before the drain reply is observable.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::collections::{BTreeMap, HashMap};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -24,13 +24,19 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use capuchin_cluster::{
-    AdmissionMode, Cluster, ClusterConfig, ClusterTransfer, JobEvent, StrategyKind,
+    AdmissionMode, Cluster, ClusterConfig, ClusterTransfer, JobEvent, JobFileError, JobSpec,
+    StrategyKind,
 };
 use capuchin_sim::{DeviceSpec, Duration, InterconnectSpec, Time};
 use serde::{Serialize as _, Value};
 
 use crate::protocol::{self, Envelope, Op};
 use crate::queue::SubQueue;
+
+/// Longest request line the daemon buffers, newline excluded. A client
+/// that sends more without a newline gets an error reply and is
+/// disconnected, so no client can grow daemon memory without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How the daemon maps wall time onto the simulated event clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,6 +231,43 @@ impl ServerHandle {
     }
 }
 
+/// The cluster shape a wire submission is validated against: the same
+/// [`JobSpec::validate`] checks a job file gets from `capuchin-cli
+/// cluster`.
+#[derive(Debug, Clone, Copy)]
+struct SubmitLimits {
+    gpus: usize,
+    min_batch_fraction: f64,
+    link_domain_gpus: usize,
+}
+
+impl SubmitLimits {
+    fn of(cfg: &ClusterConfig) -> SubmitLimits {
+        // The widest link domain bounds an inference gang. Without a
+        // fabric model there is no domain boundary to violate, so the
+        // whole cluster counts as one link domain.
+        let link_domain_gpus = match &cfg.interconnect {
+            Some(spec) => {
+                let mut sizes = BTreeMap::new();
+                for g in 0..cfg.gpus {
+                    *sizes.entry(spec.domain_of(g)).or_insert(0) += 1;
+                }
+                sizes.into_values().max().unwrap_or(1)
+            }
+            None => cfg.gpus,
+        };
+        SubmitLimits {
+            gpus: cfg.gpus,
+            min_batch_fraction: cfg.min_batch_fraction,
+            link_domain_gpus,
+        }
+    }
+
+    fn check(&self, spec: &JobSpec) -> Result<(), JobFileError> {
+        spec.validate(self.gpus, self.min_batch_fraction, self.link_domain_gpus)
+    }
+}
+
 enum Command {
     Request { env: Envelope, queue: Arc<SubQueue> },
     Hangup { queue: Arc<SubQueue> },
@@ -251,9 +294,10 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let (tx, rx) = mpsc::channel::<Command>();
     let scheduler = thread::spawn({
         let stop = Arc::clone(&stop);
+        let limits = SubmitLimits::of(&cfg.cluster);
         let cluster = cfg.cluster;
         let clock = cfg.clock;
-        move || scheduler_loop(Cluster::new(cluster), clock, &rx, &stop, addr)
+        move || scheduler_loop(Cluster::new(cluster), limits, clock, &rx, &stop, addr)
     });
     let listener_thread = thread::spawn(move || accept_loop(&listener, &tx, &stop));
     Ok(ServerHandle {
@@ -282,14 +326,34 @@ fn accept_loop(listener: &TcpListener, tx: &Sender<Command>, stop: &AtomicBool) 
 
 fn reader_loop(stream: TcpStream, tx: &Sender<Command>, queue: &Arc<SubQueue>) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the bound tells an over-long line apart from one
+        // that fits exactly.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            queue.push_reply(protocol::reply_err("?", &None, &msg));
+            // The writer sends the reply, then half-closes. Reading out
+            // what the client already sent (bounded in bytes and time)
+            // lets the socket close without a reset that could destroy
+            // the reply in flight.
+            queue.close();
+            let _ = reader
+                .get_ref()
+                .set_read_timeout(Some(std::time::Duration::from_secs(1)));
+            let _ = std::io::copy(&mut reader.take(limit), &mut std::io::sink());
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -336,6 +400,7 @@ fn writer_loop(mut stream: TcpStream, queue: &Arc<SubQueue>) {
 
 fn scheduler_loop(
     mut cluster: Cluster,
+    limits: SubmitLimits,
     clock: ClockMode,
     rx: &Receiver<Command>,
     stop: &AtomicBool,
@@ -369,7 +434,7 @@ fn scheduler_loop(
                 subs.retain(|s| !Arc::ptr_eq(&s.queue, &queue));
             }
             Some(Command::Request { env, queue }) => {
-                let shutdown = handle(&mut cluster, &mut subs, &mut draining, env, &queue);
+                let shutdown = handle(&mut cluster, &limits, &mut subs, &mut draining, env, &queue);
                 pump(&mut cluster, &mut subs);
                 if shutdown {
                     for sub in &subs {
@@ -423,6 +488,7 @@ impl Subscriber {
 
 fn handle(
     cluster: &mut Cluster,
+    limits: &SubmitLimits,
     subs: &mut Vec<Subscriber>,
     draining: &mut bool,
     env: Envelope,
@@ -437,6 +503,8 @@ fn handle(
                     &id,
                     "draining: admission is closed",
                 ));
+            } else if let Err(e) = limits.check(&spec) {
+                queue.push_reply(protocol::reply_err("submit", &id, &e.to_string()));
             } else {
                 let job = cluster.submit(&spec) as u64;
                 queue.push_reply(protocol::reply_ok(

@@ -203,6 +203,85 @@ fn errors_are_replies_not_disconnects() {
         .expect("stats");
     assert_eq!(reply.get("id").and_then(Value::as_str), Some("tok"));
 
+    // Specs a job file would reject are refused at submit with the
+    // validator's message, and the connection keeps serving.
+    use serde::Serialize as _;
+    let silent = job("silent", 32, 1, 0.0).into_inference(0.0, 250.0, 4, 0, 1);
+    let gangless = JobSpec {
+        gpus: 0,
+        ..job("gangless", 32, 1, 0.0)
+    };
+    for (spec, needle) in [(silent, "request_rate"), (gangless, "0 GPUs")] {
+        let reply = control
+            .request(&request(
+                "submit",
+                vec![("spec".to_owned(), spec.to_value())],
+            ))
+            .expect("submit reply");
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{reply:?}"
+        );
+        assert!(
+            reply
+                .get("error")
+                .and_then(Value::as_str)
+                .is_some_and(|e| e.contains(needle)),
+            "{reply:?}"
+        );
+    }
+    let stats = control.request(&request("stats", vec![])).expect("stats");
+    let submitted = stats
+        .get("stats")
+        .and_then(|s| s.get("submitted"))
+        .and_then(Value::as_u64);
+    assert_eq!(submitted, Some(0), "refused specs were submitted");
+
+    let _ = control.request(&request("shutdown", vec![]));
+    handle.wait();
+}
+
+#[test]
+fn overlong_request_line_is_refused_then_disconnected() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let handle = serve(ServeConfig {
+        cluster: cfg(),
+        clock: ClockMode::Virtual,
+        addr: "127.0.0.1:0".into(),
+    })
+    .expect("bind");
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    // More than the 1 MiB line bound, and never a newline.
+    raw.write_all(&vec![b'x'; (1 << 20) + (64 << 10)])
+        .expect("send");
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply");
+    let reply: Value = serde_json::from_str(line.trim()).expect("reply is JSON");
+    assert_eq!(
+        reply.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{reply:?}"
+    );
+    assert!(
+        reply
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("exceeds")),
+        "{reply:?}"
+    );
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("clean EOF");
+    assert!(rest.is_empty(), "data after the error reply");
+    drop(reader);
+
+    // The daemon itself keeps serving fresh connections.
+    let mut control = Client::connect(handle.addr()).expect("reconnect");
+    let reply = control.request(&request("stats", vec![])).expect("stats");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
     let _ = control.request(&request("shutdown", vec![]));
     handle.wait();
 }

@@ -17,6 +17,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> benchmark builds against the current library (perfbench/)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
+
 echo "==> smoke: cluster_gang bench (gang placement + interconnect model)"
 cargo run --release -q -p capuchin-bench --bin cluster_gang -- --smoke
 
