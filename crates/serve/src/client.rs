@@ -21,13 +21,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon.
+    /// Connects to a daemon. The socket runs with `TCP_NODELAY`: each
+    /// request is one write, so Nagle would only delay it.
     ///
     /// # Errors
     ///
-    /// Propagates the connect/clone error.
+    /// Propagates the connect/clone/socket-option error.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             writer: stream,
@@ -35,17 +37,17 @@ impl Client {
         })
     }
 
-    /// Sends one message (a single JSON object) as one line.
+    /// Sends one message (a single JSON object) as one line, newline
+    /// included, in a single write.
     ///
     /// # Errors
     ///
     /// Propagates the socket write error.
     pub fn send(&mut self, msg: &Value) -> io::Result<()> {
-        let line = serde_json::to_string(msg)
+        let mut line = serde_json::to_string(msg)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     /// Reads the next message; `None` at EOF (the daemon closed the

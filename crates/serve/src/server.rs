@@ -2,6 +2,12 @@
 //! [`Cluster`], a listener thread accepting TCP connections, and one
 //! reader + one writer thread per connection.
 //!
+//! Every thread is joined before [`ServerHandle::wait`] returns. The
+//! scheduler starts the listener and joins it last; the listener owns
+//! the connection threads and, on `shutdown`, half-closes every
+//! connection's read side (each reader sees EOF while its writer still
+//! flushes queued replies) and joins them all.
+//!
 //! All cluster state lives on the scheduler thread; connections talk to
 //! it through an mpsc channel and get answers through their connection's
 //! bounded [`SubQueue`]. The scheduler therefore never blocks on a
@@ -37,6 +43,11 @@ use crate::queue::SubQueue;
 /// that sends more without a newline gets an error reply and is
 /// disconnected, so no client can grow daemon memory without bound.
 const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a stopping daemon lets a writer flush its queued lines
+/// before cutting the connection. Only a client that stops reading
+/// needs more than microseconds; it must not hold up `shutdown`.
+const FLUSH_GRACE: std::time::Duration = std::time::Duration::from_secs(2);
 
 /// How the daemon maps wall time onto the simulated event clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,12 +221,12 @@ fn on_off(flags: &HashMap<String, String>, key: &str, what: &'static str) -> Res
     }
 }
 
-/// A running daemon: the bound address plus the threads to join.
+/// A running daemon: the bound address plus the scheduler thread, which
+/// outlives every other daemon thread.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     scheduler: thread::JoinHandle<()>,
-    listener: thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -224,10 +235,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Blocks until the daemon stops (a client sent `shutdown`).
+    /// Blocks until the daemon stops (a client sent `shutdown`) and
+    /// every one of its threads has exited.
     pub fn wait(self) {
         let _ = self.scheduler.join();
-        let _ = self.listener.join();
     }
 }
 
@@ -281,8 +292,8 @@ struct Subscriber {
     transfers: bool,
 }
 
-/// Starts the daemon and returns once the socket is bound and both
-/// service threads are running.
+/// Starts the daemon and returns once the socket is bound and the
+/// scheduler thread, which starts the listener, is running.
 ///
 /// # Errors
 ///
@@ -290,37 +301,74 @@ struct Subscriber {
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<Command>();
-    let scheduler = thread::spawn({
-        let stop = Arc::clone(&stop);
-        let limits = SubmitLimits::of(&cfg.cluster);
-        let cluster = cfg.cluster;
-        let clock = cfg.clock;
-        move || scheduler_loop(Cluster::new(cluster), limits, clock, &rx, &stop, addr)
+    let limits = SubmitLimits::of(&cfg.cluster);
+    let scheduler = thread::spawn(move || {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel::<Command>();
+        let accept = thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || accept_loop(listener, &tx, &stop)
+        });
+        let mut cluster = Cluster::new(cfg.cluster);
+        scheduler_loop(&mut cluster, limits, cfg.clock, &rx, &stop, addr);
+        // The listener returns only once every connection thread has
+        // exited; the cluster is freed after all of them.
+        let _ = accept.join();
     });
-    let listener_thread = thread::spawn(move || accept_loop(&listener, &tx, &stop));
-    Ok(ServerHandle {
-        addr,
-        scheduler,
-        listener: listener_thread,
-    })
+    Ok(ServerHandle { addr, scheduler })
 }
 
-fn accept_loop(listener: &TcpListener, tx: &Sender<Command>, stop: &AtomicBool) {
+/// One accepted connection: a handle on its socket (to half-close it at
+/// shutdown) and its two threads.
+struct Conn {
+    stream: TcpStream,
+    reader: thread::JoinHandle<()>,
+    writer: thread::JoinHandle<()>,
+}
+
+fn accept_loop(listener: TcpListener, tx: &Sender<Command>, stop: &AtomicBool) {
+    let mut conns: Vec<Conn> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::Relaxed) {
             break;
         }
+        conns.retain(|c| !(c.reader.is_finished() && c.writer.is_finished()));
         let Ok(stream) = conn else { continue };
-        let queue = SubQueue::new(protocol::DEFAULT_EVENT_QUEUE);
-        let Ok(write_half) = stream.try_clone() else {
+        // Every line leaves in one write; Nagle would only hold it back
+        // for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let (Ok(write_half), Ok(handle)) = (stream.try_clone(), stream.try_clone()) else {
             continue;
         };
+        let queue = SubQueue::new(protocol::DEFAULT_EVENT_QUEUE);
         let wq = Arc::clone(&queue);
-        thread::spawn(move || writer_loop(write_half, &wq));
+        let writer = thread::spawn(move || writer_loop(write_half, &wq));
         let rtx = tx.clone();
-        thread::spawn(move || reader_loop(stream, &rtx, &queue));
+        let reader = thread::spawn(move || reader_loop(stream, &rtx, &queue));
+        conns.push(Conn {
+            stream: handle,
+            reader,
+            writer,
+        });
+    }
+    drop(listener);
+    // EOF wakes every blocked reader, which closes its queue; the writer
+    // then flushes what is queued (the `shutdown` reply among it) and
+    // exits.
+    for c in &conns {
+        let _ = c.stream.shutdown(Shutdown::Read);
+    }
+    let deadline = std::time::Instant::now() + FLUSH_GRACE;
+    for c in conns {
+        let _ = c.reader.join();
+        while !c.writer.is_finished() && std::time::Instant::now() < deadline {
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+        if !c.writer.is_finished() {
+            // A client that stopped reading: fail the blocked write.
+            let _ = c.stream.shutdown(Shutdown::Both);
+        }
+        let _ = c.writer.join();
     }
 }
 
@@ -379,12 +427,10 @@ fn reader_loop(stream: TcpStream, tx: &Sender<Command>, queue: &Arc<SubQueue>) {
 }
 
 fn writer_loop(mut stream: TcpStream, queue: &Arc<SubQueue>) {
-    while let Some(line) = queue.pop() {
-        let write = stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush());
-        if write.is_err() {
+    while let Some(mut line) = queue.pop() {
+        // The line and its newline go out in one write.
+        line.push('\n');
+        if stream.write_all(line.as_bytes()).is_err() {
             // The consumer is gone; closing prunes this subscriber at the
             // scheduler's next pump.
             queue.close();
@@ -399,7 +445,7 @@ fn writer_loop(mut stream: TcpStream, queue: &Arc<SubQueue>) {
 }
 
 fn scheduler_loop(
-    mut cluster: Cluster,
+    cluster: &mut Cluster,
     limits: SubmitLimits,
     clock: ClockMode,
     rx: &Receiver<Command>,
@@ -426,7 +472,7 @@ fn scheduler_loop(
                 u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
             cluster.advance_to(Time::ZERO + elapsed);
-            pump(&mut cluster, &mut subs);
+            pump(cluster, &mut subs);
         }
         match cmd {
             None => {}
@@ -434,8 +480,8 @@ fn scheduler_loop(
                 subs.retain(|s| !Arc::ptr_eq(&s.queue, &queue));
             }
             Some(Command::Request { env, queue }) => {
-                let shutdown = handle(&mut cluster, &limits, &mut subs, &mut draining, env, &queue);
-                pump(&mut cluster, &mut subs);
+                let shutdown = handle(cluster, &limits, &mut subs, &mut draining, env, &queue);
+                pump(cluster, &mut subs);
                 if shutdown {
                     for sub in &subs {
                         sub.queue.close();

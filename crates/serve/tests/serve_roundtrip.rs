@@ -319,3 +319,139 @@ fn from_flags_rejects_unknown_flags() {
     flags.remove("preempt");
     assert!(ServeConfig::from_flags(&flags).is_ok());
 }
+
+fn start(clock: ClockMode) -> capuchin_serve::ServerHandle {
+    serve(ServeConfig {
+        cluster: cfg(),
+        clock,
+        addr: "127.0.0.1:0".into(),
+    })
+    .expect("bind")
+}
+
+#[test]
+fn sequential_requests_do_not_stall_on_the_wire() {
+    let handle = start(ClockMode::Virtual);
+    let mut control = Client::connect(handle.addr()).expect("connect");
+    let job = submit(&mut control, &job("solo", 32, 1, 0.0));
+    // A line split over two writes waits out the peer's delayed ACK
+    // (~40 ms each way), so 50 round trips would take seconds.
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        let reply = control
+            .request(&request(
+                "status",
+                vec![("job".to_owned(), Value::UInt(job))],
+            ))
+            .expect("status");
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{reply:?}"
+        );
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 status round trips took {elapsed:?}"
+    );
+    let _ = control.request(&request("shutdown", vec![]));
+    handle.wait();
+}
+
+#[test]
+fn near_limit_request_line_is_answered_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start(ClockMode::Virtual);
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    // Just under the 1 MiB line bound, nearly all of it one string.
+    let token = "x".repeat((1 << 20) - 64);
+    let msg = request("stats", vec![("id".to_owned(), Value::Str(token.clone()))]);
+    let mut line = serde_json::to_string(&msg).expect("render");
+    assert!(line.len() < 1 << 20, "{} bytes", line.len());
+    line.push('\n');
+    let start = std::time::Instant::now();
+    raw.write_all(line.as_bytes()).expect("send");
+    let mut reader = BufReader::new(raw);
+    let mut text = String::new();
+    reader
+        .read_line(&mut text)
+        .expect("reply within the timeout");
+    let elapsed = start.elapsed();
+    let reply: Value = serde_json::from_str(text.trim()).expect("reply is JSON");
+    assert_eq!(
+        reply.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{:?}",
+        reply.get("error")
+    );
+    assert!(reply.get("id").and_then(Value::as_str) == Some(token.as_str()));
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "reply took {elapsed:?}"
+    );
+
+    // The daemon keeps serving.
+    let mut control = Client::connect(handle.addr()).expect("connect");
+    let reply = control.request(&request("stats", vec![])).expect("stats");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+    let _ = control.request(&request("shutdown", vec![]));
+    handle.wait();
+}
+
+#[test]
+fn shutdown_joins_the_daemon_with_an_idle_connection_open() {
+    use std::io::Read;
+    let handle = start(ClockMode::Virtual);
+    let mut idle = std::net::TcpStream::connect(handle.addr()).expect("connect idle");
+    idle.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let mut control = Client::connect(handle.addr()).expect("connect control");
+    let bye = control
+        .request(&request("shutdown", vec![]))
+        .expect("shutdown");
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.wait();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("wait() returned with an idle connection open");
+
+    let mut rest = Vec::new();
+    let n = idle.read_to_end(&mut rest).expect("idle client reads EOF");
+    assert_eq!(n, 0, "idle client got {rest:?}");
+}
+
+#[test]
+fn shutdown_is_not_held_up_by_a_client_that_never_reads() {
+    use std::io::Write;
+    let handle = start(ClockMode::Virtual);
+    // Replies that echo a ~1 MiB id, far more than the loopback socket
+    // buffers hold, so the daemon's writer blocks on this client.
+    let token = "x".repeat((1 << 20) - 64);
+    let msg = request("stats", vec![("id".to_owned(), Value::Str(token))]);
+    let mut line = serde_json::to_string(&msg).expect("render");
+    line.push('\n');
+    let mut mute = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    for _ in 0..32 {
+        mute.write_all(line.as_bytes()).expect("send");
+    }
+    // Sent on the same connection, so the scheduler handles it after
+    // every reply above is queued behind the blocked writer.
+    mute.write_all(b"{\"op\":\"shutdown\"}\n").expect("send");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.wait();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("wait() returned with a non-reading client connected");
+    drop(mute);
+}

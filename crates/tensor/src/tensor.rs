@@ -207,7 +207,11 @@ impl Tensor {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct TensorRegistry {
-    tensors: HashMap<TensorKey, Tensor>,
+    /// Boxed so the table holds pointers, not ~200-byte tensors: a large
+    /// model's table then stays well under glibc's 128 KiB mmap
+    /// threshold. Freeing a block above it raises the allocator's trim
+    /// threshold for good, and every thread arena keeps more memory.
+    tensors: HashMap<TensorKey, Box<Tensor>>,
 }
 
 impl TensorRegistry {
@@ -233,34 +237,36 @@ impl TensorRegistry {
     /// Panics if the key is already registered.
     pub fn insert_new(&mut self, meta: TensorMeta, signature: Signature) -> &mut Tensor {
         let key = meta.key;
-        let prev = self.tensors.insert(key, Tensor::new(meta, signature));
+        let prev = self
+            .tensors
+            .insert(key, Box::new(Tensor::new(meta, signature)));
         assert!(prev.is_none(), "tensor {key} registered twice");
         self.tensors.get_mut(&key).expect("just inserted")
     }
 
     /// Looks up a tensor.
     pub fn get(&self, key: TensorKey) -> Option<&Tensor> {
-        self.tensors.get(&key)
+        self.tensors.get(&key).map(|t| &**t)
     }
 
     /// Looks up a tensor mutably.
     pub fn get_mut(&mut self, key: TensorKey) -> Option<&mut Tensor> {
-        self.tensors.get_mut(&key)
+        self.tensors.get_mut(&key).map(|t| &mut **t)
     }
 
     /// Removes a tensor, returning it.
     pub fn remove(&mut self, key: TensorKey) -> Option<Tensor> {
-        self.tensors.remove(&key)
+        self.tensors.remove(&key).map(|t| *t)
     }
 
     /// Iterates over all tensors.
     pub fn iter(&self) -> impl Iterator<Item = &Tensor> {
-        self.tensors.values()
+        self.tensors.values().map(|t| &**t)
     }
 
     /// Iterates mutably over all tensors.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
-        self.tensors.values_mut()
+        self.tensors.values_mut().map(|t| &mut **t)
     }
 
     /// Drops all non-persistent tensors (end of iteration), keeping weights.

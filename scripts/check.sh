@@ -60,7 +60,18 @@ done
 serve_addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$serve_log" | head -1)"
 [ -n "$serve_addr" ] || { echo "capuchin-serve never reported its address"; exit 1; }
 ./target/release/serve_smoke --connect "$serve_addr"
-wait "$serve_pid"   # shutdown op must terminate the daemon cleanly
+# The shutdown op must terminate the daemon cleanly, and within 10 s:
+# a hung shutdown fails this step instead of hanging CI.
+for _ in $(seq 1 100); do
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+  echo "capuchin-serve still running 10 s after shutdown; killing it"
+  kill "$serve_pid"
+  exit 1
+fi
+wait "$serve_pid"
 trap - EXIT
 rm -f "$serve_log"
 
