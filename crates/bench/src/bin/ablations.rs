@@ -8,26 +8,16 @@
 //!   feedback     — feedback step-size sweep (naive triggers)
 //!   passive      — Capuchin vs computation-oblivious LRU paging
 //!   checkpoints  — count-based vs byte-balanced checkpoint selection
-//!   policy       — the cluster-level policy × fabric × workload matrix:
-//!                  every registry policy (tf-ori, capuchin, dtr, delta)
-//!                  over every fabric and workload shape
 //!
-//! `--smoke` runs a reduced policy matrix and asserts the registry
-//! invariants: every policy schedules work, heuristic-class policies
-//! (DTR) admit with zero measured validation runs, DELTA at least
-//! matches Capuchin on the PCIe-saturated row, and tf-ori/capuchin
-//! same-seed runs stay byte-identical to the pre-registry fixtures.
+//! The cluster-level policy matrix (every registry policy over every
+//! fabric and workload shape) is the `policy` scenario of `cluster_bench`.
 
 use capuchin::{Capuchin, CapuchinConfig};
 use capuchin_baselines::{CheckpointMode, GradientCheckpointing, LruSwap};
 use capuchin_bench::write_artifact;
-use capuchin_cluster::{
-    synthetic_jobs, AdmissionMode, Cluster, ClusterConfig, ClusterStats, CostClass, JobSpec,
-    StrategyKind, REGISTRY,
-};
 use capuchin_executor::{Engine, EngineConfig, MemoryPolicy, TfOri};
 use capuchin_models::ModelKind;
-use capuchin_sim::{DeviceSpec, Duration, InterconnectSpec};
+use capuchin_sim::DeviceSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,24 +29,6 @@ struct Result {
     budget_mb: u64,
     throughput: Option<f64>,
     stall_ms: Option<f64>,
-}
-
-/// One cell of the policy × fabric × workload matrix.
-#[derive(Serialize)]
-struct MatrixRow {
-    policy: &'static str,
-    cost_class: &'static str,
-    fabric: &'static str,
-    workload: &'static str,
-    submitted: usize,
-    completed: usize,
-    oom_rejections: usize,
-    preemptions: usize,
-    makespan_s: f64,
-    samples_per_sec: f64,
-    evictions: u64,
-    recompute_time_ms: f64,
-    admission_validations: u64,
 }
 
 fn run(
@@ -88,249 +60,22 @@ fn fmt(v: Option<f64>) -> String {
     v.map(|t| format!("{t:.1}")).unwrap_or_else(|| "OOM".into())
 }
 
-/// One workload shape of the policy matrix.
-struct Workload {
-    name: &'static str,
-    jobs: usize,
-    seed: u64,
-    /// Per-GPU memory. The tight shapes sit below the menu's big-batch
-    /// ideal peaks, forcing shrunk admissions and swap traffic.
-    memory: u64,
-}
-
-/// The CLI's `cluster` defaults (4 GPUs, capuchin admission,
-/// fifo-first-fit, aging 0.1, SLO-aware) at `memory` bytes per GPU —
-/// the same recipe that produced the pre-registry fixtures.
-fn cluster_run(
-    jobs: &[JobSpec],
-    memory: u64,
-    fabric: Option<InterconnectSpec>,
-    preemption: bool,
-    elastic: bool,
-) -> ClusterStats {
-    let cfg = ClusterConfig::builder()
-        .gpus(4)
-        .spec(DeviceSpec::p100_pcie3().with_memory(memory))
-        .admission(AdmissionMode::Capuchin)
-        .strategy(StrategyKind::FifoFirstFit)
-        .aging_rate(0.1)
-        .preemption(preemption)
-        .interconnect(fabric)
-        .elastic(elastic)
-        .min_batch_fraction(0.25)
-        .slo_aware(true)
-        .build()
-        .expect("cluster config");
-    Cluster::new(cfg).run(jobs)
-}
-
-/// The fabrics a matrix workload runs over: no modelled interconnect,
-/// and the shared-PCIe fabric where swap traffic contends.
-fn fabrics() -> Vec<(&'static str, Option<InterconnectSpec>)> {
-    let pcie = InterconnectSpec::parse("pcie").expect("pcie spec");
-    vec![("off", None), ("pcie", pcie)]
-}
-
-/// Runs the policy × fabric × workload matrix: each registry policy gets
-/// the whole synthetic workload to itself (every job's `policy` field
-/// rewritten), so the per-policy scheduling cost shows up unblended.
-fn policy_matrix(smoke: bool) -> Vec<MatrixRow> {
-    let workloads: &[Workload] = if smoke {
-        &[Workload {
-            name: "tight8",
-            jobs: 8,
-            seed: 3,
-            memory: 6 << 30,
-        }]
-    } else {
-        &[
-            Workload {
-                name: "synthetic10",
-                jobs: 10,
-                seed: 7,
-                memory: 16 << 30,
-            },
-            Workload {
-                name: "tight8",
-                jobs: 8,
-                seed: 3,
-                memory: 6 << 30,
-            },
-        ]
-    };
-    let mut rows = Vec::new();
-    println!("## policy × fabric × workload (4 GPUs, capuchin admission)");
-    for w in workloads {
-        for (fabric_name, fabric) in fabrics() {
-            for d in REGISTRY {
-                let mut jobs = synthetic_jobs(w.jobs, w.seed, 2.0);
-                for j in &mut jobs {
-                    j.policy = d.policy;
-                }
-                let stats = cluster_run(&jobs, w.memory, fabric.clone(), false, false);
-                let recompute: Duration = stats.jobs.iter().map(|j| j.recompute_time).sum();
-                let evictions: u64 = stats.jobs.iter().map(|j| j.evictions).sum();
-                let validations: u64 = stats.jobs.iter().map(|j| j.admission_validations).sum();
-                println!(
-                    "  {:<9} {:<5} {:<12} {:>2}/{:<2} jobs  {:>7.1} samp/s  \
-                     {:>3} evictions  {:>2} validations",
-                    d.name,
-                    fabric_name,
-                    w.name,
-                    stats.completed,
-                    stats.submitted,
-                    stats.aggregate_samples_per_sec,
-                    evictions,
-                    validations,
-                );
-                rows.push(MatrixRow {
-                    policy: d.name,
-                    cost_class: d.cost_class.name(),
-                    fabric: fabric_name,
-                    workload: w.name,
-                    submitted: stats.submitted,
-                    completed: stats.completed,
-                    oom_rejections: stats.oom_rejections,
-                    preemptions: stats.preemptions,
-                    makespan_s: stats.makespan.as_secs_f64(),
-                    samples_per_sec: stats.aggregate_samples_per_sec,
-                    evictions,
-                    recompute_time_ms: recompute.as_millis_f64(),
-                    admission_validations: validations,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Strips `keys` from every object in the tree, recursively — used to
-/// compare post-registry stats (schema 4, three extra per-job counters)
-/// against the pre-registry fixtures (schema 3).
-fn strip_keys(v: &mut serde_json::Value, keys: &[&str]) {
-    match v {
-        serde_json::Value::Object(entries) => {
-            entries.retain(|(k, _)| !keys.contains(&k.as_str()));
-            for (_, val) in entries.iter_mut() {
-                strip_keys(val, keys);
-            }
-        }
-        serde_json::Value::Array(items) => {
-            for item in items.iter_mut() {
-                strip_keys(item, keys);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Asserts a same-seed run is byte-identical to its pre-registry fixture
-/// once the fields the registry PR added are stripped from both sides.
-fn check_fixture(fixture: &str, stats: &ClusterStats) {
-    let path = format!(
-        "{}/../cluster/tests/fixtures/{fixture}",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read fixture {path}: {e}"));
-    let stripped = [
-        "schema_version",
-        "recompute_time",
-        "evictions",
-        "admission_validations",
-        // Schema-5 predictive-admission fields: identically zero /
-        // "measured" in these predictive-off runs, but the fixtures
-        // predate the fields entirely.
-        "admission_source",
-        "predicted_bytes",
-        "prediction_error_permille",
-        "mispredict_recoveries",
-        "predictor_hits",
-        "predictor_misses",
-    ];
-    let mut want: serde_json::Value = serde_json::from_str(&want).expect("fixture parses");
-    let mut got: serde_json::Value = serde_json::from_str(&stats.to_json()).expect("stats parse");
-    strip_keys(&mut want, &stripped);
-    strip_keys(&mut got, &stripped);
-    assert!(
-        got == want,
-        "same-seed run diverged from pre-registry fixture {fixture}"
-    );
-    println!("  fixture {fixture}: identical");
-}
-
-/// The `--smoke` gate: the registry invariants the CI run must hold.
-fn smoke() {
-    let rows = policy_matrix(true);
-
-    // Every registry policy schedules work on the uncontended fabric.
-    for d in REGISTRY {
-        assert!(
-            rows.iter()
-                .any(|r| r.policy == d.name && r.fabric == "off" && r.completed > 0),
-            "policy {} completed no jobs",
-            d.name
-        );
-    }
-
-    // Heuristic-class admission never runs a measured validation.
-    for r in rows.iter().filter(|r| r.cost_class == "heuristic") {
-        assert_eq!(
-            r.admission_validations, 0,
-            "heuristic policy {} charged {} validation runs",
-            r.policy, r.admission_validations
-        );
-    }
-    for d in REGISTRY
-        .iter()
-        .filter(|d| d.cost_class == CostClass::Measured)
-    {
-        assert!(
-            rows.iter()
-                .any(|r| r.policy == d.name && r.admission_validations > 0),
-            "measured policy {} recorded no validation runs",
-            d.name
-        );
-    }
-
-    // DELTA's priced swap/recompute interleaving must at least match
-    // plain Capuchin where swap traffic saturates the shared PCIe link.
-    let samples = |policy: &str| {
-        rows.iter()
-            .find(|r| r.policy == policy && r.fabric == "pcie" && r.workload == "tight8")
-            .map(|r| r.samples_per_sec)
-            .expect("saturated row present")
-    };
-    let (cap, delta) = (samples("capuchin"), samples("delta"));
-    assert!(
-        delta >= cap,
-        "delta ({delta:.1} samples/s) fell below capuchin ({cap:.1}) on the saturated row"
-    );
-    println!("  delta {delta:.1} samples/s >= capuchin {cap:.1} on saturated PCIe");
-
-    // Registry dispatch left the legacy policies' behavior untouched:
-    // same-seed runs are byte-identical to the pre-registry fixtures.
-    let legacy = synthetic_jobs(10, 7, 2.0);
-    let stats = cluster_run(&legacy, 16 << 30, None, false, false);
-    check_fixture("prerefactor_synthetic10_seed7.json", &stats);
-    let pcie = synthetic_jobs(8, 3, 2.0);
-    let stats = cluster_run(
-        &pcie,
-        16 << 30,
-        InterconnectSpec::parse("pcie").expect("pcie spec"),
-        true,
-        true,
-    );
-    check_fixture("prerefactor_synthetic8_seed3_pcie.json", &stats);
-
-    println!("ablations smoke: all policy-matrix invariants hold");
-}
+const SECTIONS: [&str; 6] = [
+    "decoupled",
+    "lane",
+    "collective",
+    "feedback",
+    "passive",
+    "checkpoints",
+];
 
 fn main() {
-    let which = std::env::args().nth(1);
-    if which.as_deref() == Some("--smoke") {
-        smoke();
-        return;
+    // `all_experiments --quick` forwards `--quick`; every section is
+    // already quick, so it runs them all.
+    let which = std::env::args().nth(1).filter(|a| a != "--quick");
+    if which.as_deref().is_some_and(|w| !SECTIONS.contains(&w)) {
+        eprintln!("usage: ablations [{}]", SECTIONS.join("|"));
+        std::process::exit(2);
     }
     let all = which.is_none();
     let is = |name: &str| all || which.as_deref() == Some(name);
@@ -537,22 +282,9 @@ fn main() {
         );
     }
 
-    let policy_matrix = if is("policy") {
-        policy_matrix(false)
-    } else {
-        Vec::new()
-    };
-
     #[derive(Serialize)]
     struct Artifact {
         engine: Vec<Result>,
-        policy_matrix: Vec<MatrixRow>,
     }
-    write_artifact(
-        "ablations",
-        &Artifact {
-            engine: results,
-            policy_matrix,
-        },
-    );
+    write_artifact("ablations", &Artifact { engine: results });
 }

@@ -12,8 +12,7 @@
 //! (still real TCP). `--connect <addr>` drives an externally started
 //! daemon instead — it must run with `--clock virtual --gpus 2
 //! --admission tf-ori --elastic on` so the locally computed batch
-//! baseline matches. `--smoke` is accepted for check.sh symmetry and
-//! changes nothing: this exhibit *is* the smoke.
+//! baseline matches.
 
 use capuchin_bench::{cluster_job as job, write_artifact};
 use capuchin_cluster::{AdmissionMode, Cluster, ClusterConfig, JobSpec, STATS_SCHEMA_VERSION};
@@ -94,10 +93,14 @@ fn main() {
     );
 
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let connect = args
-        .iter()
-        .position(|a| a == "--connect")
-        .map(|i| args.get(i + 1).expect("--connect needs an address").clone());
+    let connect = match args.as_slice() {
+        [] => None,
+        [flag, addr] if flag == "--connect" => Some(addr.clone()),
+        _ => {
+            eprintln!("usage: serve_smoke [--connect <addr>]");
+            std::process::exit(2);
+        }
+    };
 
     // The baseline the daemon must reproduce byte-for-byte.
     let specs = workload();

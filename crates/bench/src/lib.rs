@@ -3,9 +3,13 @@
 //! Shared machinery for regenerating every table and figure of the paper's
 //! evaluation (§6): system/policy factories, maximum-batch-size search,
 //! throughput measurement, and JSON artifact emission. One binary per
-//! exhibit lives in `src/bin/` (see `DESIGN.md` for the experiment index).
+//! paper exhibit lives in `src/bin/` (see `DESIGN.md` for the experiment
+//! index); the cluster-level exhibits are one [`scenario`] table driven by
+//! the `cluster_bench` binary.
 
 #![warn(missing_docs)]
+
+pub mod scenario;
 
 use std::io::Write as _;
 use std::path::Path;
@@ -223,8 +227,8 @@ impl Bench {
 }
 
 /// Builds one cluster [`JobSpec`] — the shared job-mix vocabulary of the
-/// cluster benches (`cluster_gang`, `cluster_preemption`), so workloads
-/// read as one-line rows instead of struct literals.
+/// cluster scenarios and `serve_smoke`, so workloads read as one-line rows
+/// instead of struct literals.
 #[allow(clippy::too_many_arguments)]
 pub fn cluster_job(
     name: &str,

@@ -26,10 +26,10 @@
 //! grant is `min(headroom, full)` — an arbitrary byte value — so every
 //! distinct shrunk grant is a cache miss that pays a full validation run.
 //! That cost is the paper's measured-validation guarantee, inherent
-//! per-job simulation payload rather than scheduler overhead; the scale
-//! bench (`cluster_scale`) therefore clocks the scheduler under tf-ori
+//! per-job simulation payload rather than scheduler overhead; the `scale`
+//! scenario of `cluster_bench` therefore clocks the scheduler under tf-ori
 //! admission and leaves per-budget validation cost to the admission
-//! benches. See `DESIGN.md` §13 for the memoization keys.
+//! scenarios. See `DESIGN.md` §13 for the memoization keys.
 
 use std::cell::Cell;
 

@@ -167,8 +167,9 @@ pub struct ClusterConfig {
     /// priority by the fraction of its latency SLO the oldest pending
     /// request has burned ([`crate::strategy::slo_boost_permille`]), in
     /// placement ranking and preemption alike. `false` is the SLO-blind
-    /// baseline the `cluster_mixed` bench compares against; it changes
-    /// nothing for training-only workloads (their boost is always 0).
+    /// baseline the `mixed` scenario of `cluster_bench` compares against;
+    /// it changes nothing for training-only workloads (their boost is
+    /// always 0).
     pub slo_aware: bool,
     /// Predictive admission: once a `(model family, policy, class)` key
     /// has [`ClusterConfig::min_samples`] completed measured runs, admit

@@ -280,8 +280,11 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`JobFileError::ZeroGpus`] / [`JobFileError::GangTooLarge`] for gang
-    /// sizes that could never be placed,
+    /// [`JobFileError::BadArrival`] / [`JobFileError::ZeroBatch`] /
+    /// [`JobFileError::ZeroIters`] for a job with no place on the clock or
+    /// no work to do, [`JobFileError::ZeroGpus`] /
+    /// [`JobFileError::GangTooLarge`] for gang sizes that could never be
+    /// placed,
     /// [`JobFileError::ElasticFloorTooSmall`] for elastic gangs whose batch
     /// floor would drive the per-replica batch below 1, and
     /// [`JobFileError::BadSlo`] / [`JobFileError::BadRequestRate`] /
@@ -295,6 +298,22 @@ impl JobSpec {
         min_batch_fraction: f64,
         link_domain_gpus: usize,
     ) -> Result<(), JobFileError> {
+        if !self.arrival_time.is_finite() || self.arrival_time < 0.0 {
+            return Err(JobFileError::BadArrival {
+                job: self.name.clone(),
+                arrival_time: self.arrival_time,
+            });
+        }
+        if self.batch == 0 {
+            return Err(JobFileError::ZeroBatch {
+                job: self.name.clone(),
+            });
+        }
+        if self.iters == 0 {
+            return Err(JobFileError::ZeroIters {
+                job: self.name.clone(),
+            });
+        }
         if self.gpus == 0 {
             return Err(JobFileError::ZeroGpus {
                 job: self.name.clone(),
@@ -436,6 +455,26 @@ pub enum JobFileError {
     Parse(String),
     /// The file parsed but contains no jobs.
     Empty,
+    /// A job's arrival time is negative or not finite: the simulated
+    /// clock starts at zero and cannot schedule an infinite instant.
+    BadArrival {
+        /// Name of the offending job.
+        job: String,
+        /// The rejected arrival time, in seconds.
+        arrival_time: f64,
+    },
+    /// A job asked for a batch of zero samples: it has nothing to train
+    /// or serve.
+    ZeroBatch {
+        /// Name of the offending job.
+        job: String,
+    },
+    /// A job asked for zero iterations: it would count as completed
+    /// without ever running.
+    ZeroIters {
+        /// Name of the offending job.
+        job: String,
+    },
     /// A job asked for zero GPUs — a gang of nothing can never run.
     ZeroGpus {
         /// Name of the offending job.
@@ -510,6 +549,23 @@ impl std::fmt::Display for JobFileError {
         match self {
             JobFileError::Parse(msg) => write!(f, "invalid job file: {msg}"),
             JobFileError::Empty => write!(f, "job file contains no jobs"),
+            JobFileError::BadArrival { job, arrival_time } => write!(
+                f,
+                "job `{job}`: arrival_time must be a finite number of seconds \
+                 at or after 0, got {arrival_time}"
+            ),
+            JobFileError::ZeroBatch { job } => {
+                write!(
+                    f,
+                    "job `{job}` requests batch 0; a job needs at least 1 sample"
+                )
+            }
+            JobFileError::ZeroIters { job } => {
+                write!(
+                    f,
+                    "job `{job}` requests 0 iterations; a job needs at least 1"
+                )
+            }
             JobFileError::ZeroGpus { job } => {
                 write!(f, "job `{job}` requests 0 GPUs; a gang needs at least 1")
             }
@@ -934,6 +990,37 @@ mod tests {
         assert_eq!(jobs[0].class, JobClass::Training);
         assert!(!jobs[0].is_inference());
         assert_eq!(jobs[0].slo_nanos(), 0);
+    }
+
+    #[test]
+    fn jobs_without_a_time_or_work_are_rejected() {
+        let spec = |arrival: &str, batch: usize, iters: u64| {
+            format!(
+                r#"[{{"name": "j", "model": "Vgg16", "batch": {batch},
+                     "policy": "TfOri", "iters": {iters}, "priority": 0,
+                     "arrival_time": {arrival}}}]"#
+            )
+        };
+        assert!(matches!(
+            load_jobs(&spec("1e400", 8, 1), 4, 0.25, 4),
+            Err(JobFileError::BadArrival { arrival_time, .. }) if arrival_time.is_infinite()
+        ));
+        assert_eq!(
+            load_jobs(&spec("-3.0", 8, 1), 4, 0.25, 4),
+            Err(JobFileError::BadArrival {
+                job: "j".into(),
+                arrival_time: -3.0
+            })
+        );
+        assert_eq!(
+            load_jobs(&spec("0.0", 0, 1), 4, 0.25, 4),
+            Err(JobFileError::ZeroBatch { job: "j".into() })
+        );
+        assert_eq!(
+            load_jobs(&spec("0.0", 8, 0), 4, 0.25, 4),
+            Err(JobFileError::ZeroIters { job: "j".into() })
+        );
+        assert!(load_jobs(&spec("0.0", 1, 1), 4, 0.25, 4).is_ok());
     }
 
     #[test]

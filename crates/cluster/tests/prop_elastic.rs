@@ -1,5 +1,5 @@
 //! Elastic re-batching invariants (the property-level counterpart of the
-//! `cluster_elastic` bench):
+//! `elastic` scenario of `cluster_bench`):
 //!
 //! 1. **No over-commit** — with elastic re-batching on and any mix of
 //!    elastic and rigid jobs, the sum of reservations on a GPU never

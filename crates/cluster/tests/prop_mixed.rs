@@ -1,5 +1,5 @@
 //! Mixed-workload (training + inference) invariants — the property-level
-//! counterpart of the `cluster_mixed` bench:
+//! counterpart of the `mixed` scenario of `cluster_bench`:
 //!
 //! 1. **No over-commit through KV growth** — per-request KV reservations
 //!    climb and drain with every serving round, through burst-absorption

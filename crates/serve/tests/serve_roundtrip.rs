@@ -455,3 +455,58 @@ fn shutdown_is_not_held_up_by_a_client_that_never_reads() {
         .expect("wait() returned with a non-reading client connected");
     drop(mute);
 }
+
+#[test]
+fn specs_without_a_time_or_work_are_refused_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start(ClockMode::Virtual);
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut ask = |line: String| -> Value {
+        raw.write_all(format!("{line}\n").as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        serde_json::from_str(reply.trim()).expect("reply is JSON")
+    };
+    // Raw lines: an arrival of 1e400 parses to +inf, which no typed
+    // client can render.
+    let submit = |arrival: &str, batch: usize, iters: u64| {
+        format!(
+            r#"{{"op":"submit","spec":{{"name":"bad","model":"Vgg16","batch":{batch},"policy":"TfOri","iters":{iters},"priority":0,"arrival_time":{arrival}}}}}"#
+        )
+    };
+    for (line, needle) in [
+        (submit("1e400", 32, 1), "arrival_time"),
+        (submit("-3.0", 32, 1), "arrival_time"),
+        (submit("0.0", 0, 1), "batch 0"),
+        (submit("0.0", 32, 0), "0 iterations"),
+    ] {
+        let reply = ask(line);
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{reply:?}"
+        );
+        assert!(
+            reply
+                .get("error")
+                .and_then(Value::as_str)
+                .is_some_and(|e| e.contains(needle)),
+            "{reply:?}"
+        );
+    }
+    let reply = ask(submit("0.0", 32, 1));
+    assert_eq!(
+        reply.get("job").and_then(Value::as_u64),
+        Some(0),
+        "{reply:?}"
+    );
+    let drained = ask(r#"{"op":"drain"}"#.to_owned());
+    let stats = drained.get("stats").expect("drain reply carries stats");
+    assert_eq!(stats.get("submitted").and_then(Value::as_u64), Some(1));
+    assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(1));
+    ask(r#"{"op":"shutdown"}"#.to_owned());
+    handle.wait();
+}

@@ -20,32 +20,14 @@ cargo test -q
 echo "==> benchmark builds against the current library (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
 
-echo "==> smoke: cluster_gang bench (gang placement + interconnect model)"
-cargo run --release -q -p capuchin-bench --bin cluster_gang -- --smoke
-
-echo "==> smoke: cluster_gang per-tensor transfer path (shared PCIe fabric)"
-cargo run --release -q -p capuchin-bench --bin cluster_gang -- --smoke --interconnect pcie
-
 echo "==> smoke: trace_export round-trip (emitted Chrome trace must parse)"
 cargo run --release -q -p capuchin-bench --bin trace_export -- --smoke
 
-echo "==> smoke: cluster_elastic shrink-then-regrow cycle"
-cargo run --release -q -p capuchin-bench --bin cluster_elastic -- --smoke
+echo "==> smoke: cluster_bench scenario table (invariants of every scenario + committed-row gates)"
+cargo run --release -q -p capuchin-bench --bin cluster_bench -- --smoke
 
 echo "==> smoke: serve daemon, in-process (TCP submit/subscribe/drain, stats byte-identity)"
-cargo run --release -q -p capuchin-bench --bin serve_smoke -- --smoke
-
-echo "==> smoke: cluster_scale wall-clock-per-job guard (vs committed baseline, 2x soft limit)"
-cargo run --release -q -p capuchin-bench --bin cluster_scale -- --smoke
-
-echo "==> smoke: cluster_mixed SLO-attainment guard (burst-absorption cycle + committed floor)"
-cargo run --release -q -p capuchin-bench --bin cluster_mixed -- --smoke
-
-echo "==> smoke: ablations policy matrix (registry invariants + pre-registry fixture identity)"
-cargo run --release -q -p capuchin-bench --bin ablations -- --smoke
-
-echo "==> smoke: cluster_predict warm-key validation ceiling (predicted admission stays measurement-free)"
-cargo run --release -q -p capuchin-bench --bin cluster_predict -- --smoke
+cargo run --release -q -p capuchin-bench --bin serve_smoke
 
 echo "==> smoke: serve daemon, external process on an ephemeral port"
 serve_log="$(mktemp)"
