@@ -66,6 +66,13 @@ fn main() {
                 r.rebatches, r.makespan_ns as f64 / 1e9, r.samples_per_s, r.events,
                 r.validation_runs, r.attainment_permille, r.burst_cycles, r.wall_s, r.us_per_job,
             );
+            if let (Some(warmup), Some(ms), Some(bytes)) = (r.warmup_s, r.to_json_ms, r.json_bytes)
+            {
+                println!(
+                    "{:<35} cold warm-up {warmup:.3}s, stats JSON {ms:.1} ms for {bytes} B",
+                    ""
+                );
+            }
             rows.push(r);
         }
         eprintln!("[{}] invariants hold", sc.name);

@@ -57,6 +57,18 @@ pub struct Run {
     pub wall: Wall,
     /// Process peak RSS (`VmHWM`) at idle, in KiB (0 off Linux).
     pub peak_rss_kib: u64,
+    /// Host measurements of a warm run (see [`Scenario::host`]).
+    pub host: Option<HostRun>,
+}
+
+/// What a warm run measures beyond the drain itself.
+pub struct HostRun {
+    /// Wall clock of the untimed cold run that warmed the caches.
+    pub warmup: Wall,
+    /// Wall clock of rendering the final stats JSON.
+    pub to_json: Wall,
+    /// Length of that JSON, in bytes.
+    pub json_bytes: usize,
 }
 
 /// A named set of cluster runs and the claims they must hold.
@@ -68,13 +80,17 @@ pub struct Scenario {
     pub cases: fn(smoke: bool) -> Vec<Case>,
     /// Scenario-specific invariants; panics on a violation.
     pub check: fn(&[Run]),
-    /// Whether rows record peak RSS. `VmHWM` is a process-wide high-water
-    /// mark, so only `scale` records it: it runs first, checks each run
-    /// alone and drops it before the next is built, and its rows grow.
-    pub rss: bool,
+    /// Whether rows record host measurements: each case first runs cold
+    /// and untimed to warm the admission caches, then the timed run
+    /// repeats it on the reset cluster, and the row adds the warm-up
+    /// time, peak RSS and the stats JSON render time and size. `VmHWM`
+    /// is a process-wide high-water mark, so only `scale` records it: it
+    /// runs first, checks each run alone and drops it before the next is
+    /// built, and its rows grow.
+    pub host: bool,
 }
 
-/// One uniform artifact row. Every field but the last three is
+/// One uniform artifact row. Every field but the last six is
 /// simulation-side and byte-reproducible.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Row {
@@ -125,13 +141,21 @@ pub struct Row {
     pub wall_s: f64,
     /// Host wall clock per submitted job.
     pub us_per_job: f64,
-    /// Process peak RSS (`VmHWM`) at the end of the run, on `scale` rows
-    /// only.
+    /// Process peak RSS (`VmHWM`) at the end of the run, read before the
+    /// stats are rendered; on `scale` rows only.
     pub peak_rss_kib: Option<u64>,
+    /// Host wall clock of the untimed cold run before the timed one, on
+    /// `scale` rows only.
+    pub warmup_s: Option<f64>,
+    /// Host wall clock of `stats().to_json()` after the drain, on
+    /// `scale` rows only.
+    pub to_json_ms: Option<f64>,
+    /// Length of that stats JSON, on `scale` rows only.
+    pub json_bytes: Option<u64>,
 }
 
 impl Row {
-    fn new(scenario: &str, run: &Run, rss: bool) -> Row {
+    fn new(scenario: &str, run: &Run) -> Row {
         let s = &run.stats;
         let sum = |f: fn(&JobStats) -> Duration| s.jobs.iter().map(f).sum::<Duration>().as_nanos();
         let top = run.jobs.iter().map(|j| j.priority).max();
@@ -168,7 +192,10 @@ impl Row {
             predictor_misses: s.predictor_misses,
             wall_s: run.wall.as_secs_f64(),
             us_per_job: run.wall.as_secs_f64() * 1e6 / run.jobs.len() as f64,
-            peak_rss_kib: rss.then_some(run.peak_rss_kib),
+            peak_rss_kib: run.host.as_ref().map(|_| run.peak_rss_kib),
+            warmup_s: run.host.as_ref().map(|h| h.warmup.as_secs_f64()),
+            to_json_ms: run.host.as_ref().map(|h| h.to_json.as_secs_f64() * 1e3),
+            json_bytes: run.host.as_ref().map(|h| h.json_bytes as u64),
         }
     }
 }
@@ -197,16 +224,21 @@ impl Scenario {
                 cluster = Some(Cluster::new(cfg));
             }
             let cluster = cluster.as_mut().expect("first case has a config");
-            let run = run_case(cluster, case.label, (case.jobs)());
+            let jobs = (case.jobs)();
+            let run = if self.host {
+                run_warm(cluster, case.label, jobs)
+            } else {
+                run_case(cluster, case.label, jobs)
+            };
             universal(&run);
-            rows.push(Row::new(self.name, &run, self.rss));
-            if self.rss {
+            rows.push(Row::new(self.name, &run));
+            if self.host {
                 (self.check)(std::slice::from_ref(&run));
             } else {
                 runs.push(run);
             }
         }
-        if !self.rss {
+        if !self.host {
             (self.check)(&runs);
         }
         rows
@@ -242,7 +274,33 @@ fn run_case(cluster: &mut Cluster, label: String, jobs: Vec<JobSpec>) -> Run {
         validation_runs: cluster.validation_runs() - before,
         wall,
         peak_rss_kib: peak_rss_kib(),
+        host: None,
     }
+}
+
+/// A host-measured run: an untimed cold run of the workload warms the
+/// admission caches, the timed run repeats it on the reset cluster and
+/// must need no validation, and its stats are rendered after the peak
+/// RSS was read.
+fn run_warm(cluster: &mut Cluster, label: String, jobs: Vec<JobSpec>) -> Run {
+    let (label, jobs, warmup) = {
+        let cold = run_case(cluster, label, jobs);
+        (cold.label, cold.jobs, cold.wall)
+    };
+    let mut run = run_case(cluster, label, jobs);
+    assert_eq!(
+        run.validation_runs, 0,
+        "{}: the timed run validated on warm caches",
+        run.label
+    );
+    let start = Instant::now();
+    let json = run.stats.to_json();
+    run.host = Some(HostRun {
+        warmup,
+        to_json: start.elapsed(),
+        json_bytes: json.len(),
+    });
+    run
 }
 
 /// Invariants of every run: admitted jobs never abort mid-run, and every
@@ -292,8 +350,9 @@ pub struct Gate {
     pub bound: f64,
 }
 
-/// The smoke gates: the scale row's host time per job within 2× (machines
-/// differ; asymptotic regressions do not hide inside 2×), warm predicted
+/// The smoke gates: the scale row's warm host time per job within 2×
+/// (machines differ; asymptotic regressions do not hide inside 2×; the
+/// cold warm-up is reported apart, so its noise stays out), warm predicted
 /// admission charging no more validation runs than committed (0), and
 /// the contended mixed row's SLO attainment at the committed floor.
 pub const GATES: &[Gate] = &[
@@ -373,13 +432,13 @@ impl Scenario {
         name: &'static str,
         cases: fn(bool) -> Vec<Case>,
         check: fn(&[Run]),
-        rss: bool,
+        host: bool,
     ) -> Scenario {
         Scenario {
             name,
             cases,
             check,
-            rss,
+            host,
         }
     }
 }

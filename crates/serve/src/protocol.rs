@@ -26,7 +26,7 @@
 //! backpressure marker.
 
 use capuchin_cluster::{ClusterTransfer, JobEvent, JobEventKind, JobSpec};
-use serde::{Deserialize as _, Serialize as _, Value};
+use serde::{Deserialize as _, Serialize, Value, Writer};
 
 /// Version stamp carried by every wire message. Independent of the stats
 /// schema ([`capuchin_cluster::STATS_SCHEMA_VERSION`]), which versions
@@ -167,114 +167,109 @@ fn job_field(v: &Value, op: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{op}: missing non-negative integer field `job`"))
 }
 
-fn base(reply: &str, id: &Option<Value>, ok: bool) -> Vec<(String, Value)> {
-    let mut fields = vec![
-        (
-            "schema_version".to_owned(),
-            Value::UInt(u64::from(WIRE_SCHEMA_VERSION)),
-        ),
-        ("reply".to_owned(), Value::Str(reply.to_owned())),
-    ];
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), id.clone()));
-    }
-    fields.push(("ok".to_owned(), Value::Bool(ok)));
-    fields
+/// Opens a server-sent line: `{"schema_version":N,"<tag>":"<name>"`.
+fn open(tag: &str, name: &str) -> Writer {
+    let mut w = Writer::compact();
+    w.begin_object();
+    w.key("schema_version");
+    w.u64(u64::from(WIRE_SCHEMA_VERSION));
+    w.key(tag);
+    w.str(name);
+    w
 }
 
-fn compact(fields: Vec<(String, Value)>) -> String {
-    serde_json::to_string(&Value::Object(fields)).expect("wire message serializes")
+fn close(mut w: Writer) -> String {
+    w.end_object();
+    w.into_string()
+}
+
+fn reply(op: &str, id: &Option<Value>, ok: bool, extra: &[(&str, &dyn Serialize)]) -> String {
+    let mut w = open("reply", op);
+    if let Some(id) = id {
+        w.key("id");
+        id.serialize(&mut w);
+    }
+    w.key("ok");
+    w.bool(ok);
+    for (key, value) in extra {
+        w.key(key);
+        value.serialize(&mut w);
+    }
+    close(w)
 }
 
 /// Renders a success reply for `op`, with `extra` fields appended after
 /// `ok`.
-pub fn reply_ok(op: &str, id: &Option<Value>, extra: Vec<(String, Value)>) -> String {
-    let mut fields = base(op, id, true);
-    fields.extend(extra);
-    compact(fields)
+pub fn reply_ok(op: &str, id: &Option<Value>, extra: &[(&str, &dyn Serialize)]) -> String {
+    reply(op, id, true, extra)
 }
 
 /// Renders an error reply for `op`.
 pub fn reply_err(op: &str, id: &Option<Value>, error: &str) -> String {
-    let mut fields = base(op, id, false);
-    fields.push(("error".to_owned(), Value::Str(error.to_owned())));
-    compact(fields)
+    reply(op, id, false, &[("error", &error)])
 }
 
 /// Renders one lifecycle event as a stream record: the
 /// [`JobEventKind`] is flattened to its lowercase wire name plus the
 /// kind's own fields, so consumers switch on a single `"kind"` string.
 pub fn event_line(e: &JobEvent) -> String {
-    let mut fields = vec![
-        (
-            "schema_version".to_owned(),
-            Value::UInt(u64::from(WIRE_SCHEMA_VERSION)),
-        ),
-        ("stream".to_owned(), Value::Str("event".to_owned())),
-        ("t".to_owned(), Value::UInt(e.t.as_nanos())),
-        ("job".to_owned(), Value::UInt(e.job)),
-        ("name".to_owned(), Value::Str(e.name.clone())),
-        ("kind".to_owned(), Value::Str(e.kind.name().to_owned())),
-    ];
+    let mut w = open("stream", "event");
+    w.key("t");
+    w.u64(e.t.as_nanos());
+    w.key("job");
+    w.u64(e.job);
+    w.key("name");
+    w.str(&e.name);
+    w.key("kind");
+    w.str(e.kind.name());
     match &e.kind {
         JobEventKind::Admitted {
             gpus,
             batch,
             reserved,
         } => {
-            fields.push((
-                "gpus".to_owned(),
-                Value::Array(gpus.iter().map(|&g| Value::UInt(g as u64)).collect()),
-            ));
-            fields.push(("batch".to_owned(), Value::UInt(*batch as u64)));
-            fields.push(("reserved".to_owned(), Value::UInt(*reserved)));
+            w.key("gpus");
+            gpus.serialize(&mut w);
+            w.key("batch");
+            batch.serialize(&mut w);
+            w.key("reserved");
+            w.u64(*reserved);
         }
         JobEventKind::IterationDone { iter, samples_done } => {
-            fields.push(("iter".to_owned(), Value::UInt(*iter)));
-            fields.push(("samples_done".to_owned(), Value::UInt(*samples_done)));
+            w.key("iter");
+            w.u64(*iter);
+            w.key("samples_done");
+            w.u64(*samples_done);
         }
         JobEventKind::Rebatched { batch } => {
-            fields.push(("batch".to_owned(), Value::UInt(*batch as u64)));
+            w.key("batch");
+            batch.serialize(&mut w);
         }
         JobEventKind::RequestServed { latency } | JobEventKind::SloMissed { latency } => {
             // Integer division keeps the accumulator-to-wire path in u64.
-            fields.push((
-                "latency_us".to_owned(),
-                Value::UInt(latency.as_nanos() / 1_000),
-            ));
+            w.key("latency_us");
+            w.u64(latency.as_nanos() / 1_000);
         }
         _ => {}
     }
-    compact(fields)
+    close(w)
 }
 
 /// Renders one per-tensor transfer record as a stream record (the
 /// [`ClusterTransfer`] fields, inlined).
 pub fn transfer_line(t: &ClusterTransfer) -> String {
-    let mut fields = vec![
-        (
-            "schema_version".to_owned(),
-            Value::UInt(u64::from(WIRE_SCHEMA_VERSION)),
-        ),
-        ("stream".to_owned(), Value::Str("transfer".to_owned())),
-    ];
-    if let Value::Object(entries) = t.to_value() {
-        fields.extend(entries);
-    }
-    compact(fields)
+    let mut w = open("stream", "transfer");
+    w.flatten(t);
+    close(w)
 }
 
 /// Renders the coalesced backpressure marker: `n` stream records were
 /// dropped on this connection since the last one it received.
 pub fn dropped_line(n: u64) -> String {
-    compact(vec![
-        (
-            "schema_version".to_owned(),
-            Value::UInt(u64::from(WIRE_SCHEMA_VERSION)),
-        ),
-        ("stream".to_owned(), Value::Str("dropped".to_owned())),
-        ("dropped".to_owned(), Value::UInt(n)),
-    ])
+    let mut w = open("stream", "dropped");
+    w.key("dropped");
+    w.u64(n);
+    close(w)
 }
 
 #[cfg(test)]
@@ -344,7 +339,7 @@ mod tests {
             kind: JobEventKind::Completed,
         };
         for line in [
-            reply_ok("stats", &None, vec![]),
+            reply_ok("stats", &None, &[]),
             reply_err("cancel", &Some(Value::Int(1)), "nope"),
             event_line(&event),
             dropped_line(4),
@@ -352,6 +347,33 @@ mod tests {
             assert!(line.starts_with(&prefix), "{line}");
             assert!(!line.contains('\n'), "{line}");
         }
+    }
+
+    #[test]
+    fn transfer_lines_inline_the_record_after_the_envelope() {
+        use capuchin_sim::{CopyDir, Duration};
+        let t = ClusterTransfer {
+            job: "j\"1".into(),
+            iter: u64::MAX,
+            label: "prefetch:conv1".into(),
+            link: "host".into(),
+            dir: CopyDir::HostToDevice,
+            bytes: 1 << 20,
+            want: Time::from_micros(5),
+            start: Time::from_micros(7),
+            end: Time::from_micros(9),
+            wait: Duration::from_nanos(2_000),
+            charge: Duration::ZERO,
+            lead: Duration::from_nanos(3),
+        };
+        let record = serde_json::to_string(&t).unwrap();
+        assert_eq!(
+            transfer_line(&t),
+            format!(
+                "{{\"schema_version\":{WIRE_SCHEMA_VERSION},\"stream\":\"transfer\",{}",
+                &record[1..]
+            )
+        );
     }
 
     #[test]

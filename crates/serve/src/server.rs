@@ -34,7 +34,6 @@ use capuchin_cluster::{
     StrategyKind,
 };
 use capuchin_sim::{DeviceSpec, Duration, InterconnectSpec, Time};
-use serde::{Serialize as _, Value};
 
 use crate::protocol::{self, Envelope, Op};
 use crate::queue::SubQueue;
@@ -553,11 +552,7 @@ fn handle(
                 queue.push_reply(protocol::reply_err("submit", &id, &e.to_string()));
             } else {
                 let job = cluster.submit(&spec) as u64;
-                queue.push_reply(protocol::reply_ok(
-                    "submit",
-                    &id,
-                    vec![("job".to_owned(), Value::UInt(job))],
-                ));
+                queue.push_reply(protocol::reply_ok("submit", &id, &[("job", &job)]));
             }
         }
         Op::Cancel { job } => {
@@ -565,7 +560,7 @@ fn handle(
                 .map_err(|_| "job id out of range".to_owned())
                 .and_then(|j| cluster.cancel(j).map_err(|e| e.to_string()))
             {
-                Ok(()) => protocol::reply_ok("cancel", &id, vec![]),
+                Ok(()) => protocol::reply_ok("cancel", &id, &[]),
                 Err(e) => protocol::reply_err("cancel", &id, &e),
             };
             queue.push_reply(reply);
@@ -573,9 +568,7 @@ fn handle(
         Op::Status { job } => {
             let status = usize::try_from(job).ok().and_then(|j| cluster.status(j));
             let reply = match status {
-                Some(st) => {
-                    protocol::reply_ok("status", &id, vec![("status".to_owned(), st.to_value())])
-                }
+                Some(st) => protocol::reply_ok("status", &id, &[("status", &st)]),
                 None => {
                     protocol::reply_err("status", &id, &format!("job {job} was never submitted"))
                 }
@@ -586,7 +579,7 @@ fn handle(
             queue.push_reply(protocol::reply_ok(
                 "stats",
                 &id,
-                vec![("stats".to_owned(), cluster.stats().to_value())],
+                &[("stats", &cluster.stats())],
             ));
         }
         Op::Subscribe(opts) => {
@@ -610,7 +603,7 @@ fn handle(
                     name,
                     transfers: opts.transfers,
                 });
-                queue.push_reply(protocol::reply_ok("subscribe", &id, vec![]));
+                queue.push_reply(protocol::reply_ok("subscribe", &id, &[]));
             }
         }
         Op::Drain => {
@@ -624,11 +617,11 @@ fn handle(
             queue.push_reply(protocol::reply_ok(
                 "drain",
                 &id,
-                vec![("stats".to_owned(), cluster.stats().to_value())],
+                &[("stats", &cluster.stats())],
             ));
         }
         Op::Shutdown => {
-            queue.push_reply(protocol::reply_ok("shutdown", &id, vec![]));
+            queue.push_reply(protocol::reply_ok("shutdown", &id, &[]));
             return true;
         }
     }

@@ -510,3 +510,50 @@ fn specs_without_a_time_or_work_are_refused_and_the_daemon_survives() {
     ask(r#"{"op":"shutdown"}"#.to_owned());
     handle.wait();
 }
+
+#[test]
+fn deeply_nested_line_is_refused_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start(ClockMode::Virtual);
+    let mut control = Client::connect(handle.addr()).expect("connect control");
+    let job = submit(&mut control, &job("solo", 32, 1, 0.0));
+
+    // 40 KB, well under the line bound, and 20,000 levels deep: parsed
+    // without a depth bound, it overflows the reader thread's stack and
+    // aborts the whole daemon.
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    let line = format!("{}{}\n", "[".repeat(20_000), "]".repeat(20_000));
+    raw.write_all(line.as_bytes()).expect("send");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    let reply: Value = serde_json::from_str(reply.trim()).expect("reply is JSON");
+    assert_eq!(
+        reply.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{reply:?}"
+    );
+    assert!(
+        reply
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("bad JSON") && e.contains("recursion limit")),
+        "{reply:?}"
+    );
+
+    let status = control
+        .request(&request(
+            "status",
+            vec![("job".to_owned(), Value::UInt(job))],
+        ))
+        .expect("status after the nested line");
+    assert_eq!(
+        status.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{status:?}"
+    );
+    let _ = control.request(&request("shutdown", vec![]));
+    handle.wait();
+}

@@ -17,6 +17,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> vendored serde's own unit tests (not a workspace member)"
+cargo test -q -p serde
+
 echo "==> benchmark builds against the current library (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
 
