@@ -32,14 +32,19 @@
 //! scenarios. See `DESIGN.md` §13 for the memoization keys.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use capuchin::{shrink_feasibility, FootprintEstimate, PlannerConfig};
+use capuchin::{measure_footprint, shrink_feasibility, FootprintEstimate, PlannerConfig};
 use capuchin_executor::{Engine, EngineConfig, ExecError};
 use capuchin_graph::Graph;
-use capuchin_sim::{CopyDir, DeviceSpec, Duration};
+use capuchin_models::ModelKind;
+use capuchin_sim::{CopyDir, DeviceSpec, Duration, TransferModel};
 
-use crate::job::JobPolicy;
+use crate::job::{JobPolicy, JobSpec};
 use crate::parse::ParseEnumError;
+use crate::policy::CostClass;
+use crate::predict::PredictedFootprint;
 
 /// How the controller predicts a job's device-memory need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,23 +200,6 @@ impl std::fmt::Display for AdmissionSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// A typed admission decision: the derived budgets plus the provenance
-/// they came from and the validation engine runs the derivation charged.
-/// This replaces the ad-hoc "needs plus infer-from-counters" convention —
-/// decision provenance is inspectable end-to-end (per-job stats carry
-/// `admission_source`, serve `status` replies carry it on the wire).
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionDecision {
-    /// The budgets admission derived (full and minimum reservation).
-    pub budgets: JobNeeds,
-    /// Where the budgets came from.
-    pub source: AdmissionSource,
-    /// Validation engine runs this decision performed. Zero for
-    /// heuristic and predicted decisions by construction; the cluster's
-    /// attribution cursor charges exactly this many runs to the job.
-    pub validations_charged: u64,
 }
 
 /// Finds the smallest budget (to within ~1/64 of the transient footprint,
@@ -453,6 +441,326 @@ impl Admission {
                     .collect(),
             })
             .collect())
+    }
+}
+
+/// The shape an admission measurement depends on: model, replica batch,
+/// and whether the job runs the forward pass only. Every admission cache
+/// is keyed by it, so a 4-GPU gang at batch 128 shares entries with a
+/// single-GPU job at batch 32, while a serving job — whose footprint is
+/// strictly smaller than its training twin's — gets its own. The model
+/// is the interned [`ModelKind`], so probing a cache allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Shape {
+    model: ModelKind,
+    replica_batch: usize,
+    forward: bool,
+}
+
+impl Shape {
+    /// `spec`'s shape at global batch `batch`.
+    pub(crate) fn of(spec: &JobSpec, batch: usize) -> Shape {
+        Shape {
+            model: spec.model,
+            replica_batch: spec.replica_batch_at(batch),
+            forward: spec.is_inference(),
+        }
+    }
+
+    /// The graph the shape runs: the training graph, or its forward
+    /// prefix for a serving job (no backward pass to fit).
+    fn build(self) -> Graph {
+        let graph = self.model.build(self.replica_batch).graph;
+        if self.forward {
+            graph.forward_prefix()
+        } else {
+            graph
+        }
+    }
+
+    /// Derives admission budgets from a measuring run over this shape's
+    /// graph. Heuristic-class policies use planner math only; measured
+    /// ones verify by engine runs, escalating a forward-only `full` until
+    /// a run completes (see [`Admission::forward_needs`]).
+    fn needs(
+        self,
+        admission: &Admission,
+        graph: &Graph,
+        est: &FootprintEstimate,
+        policy: JobPolicy,
+        heuristic: bool,
+    ) -> JobNeeds {
+        match (heuristic, self.forward) {
+            (true, false) => admission.heuristic_needs(est),
+            (true, true) => admission.heuristic_forward_needs(est),
+            (false, false) => admission.needs(graph, est),
+            (false, true) => admission.forward_needs(graph, est, policy),
+        }
+    }
+}
+
+/// The slice of a measuring run the scheduler keeps per shape: the two
+/// footprint numbers stats report plus the unconstrained iteration wall.
+/// The full [`FootprintEstimate`] drags the whole measured access profile
+/// along and is dropped once admission needs are derived.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EstimateSummary {
+    /// Peak live memory an unlimited device holds.
+    pub(crate) ideal_peak: u64,
+    /// Persistent weight bytes (the gang's gradient payload).
+    pub(crate) weight_bytes: u64,
+    /// Wall time of the unconstrained measuring iteration — the base an
+    /// unvalidated (heuristic-class or predicted) admission synthesizes
+    /// its replay from.
+    pub(crate) iter_wall: Duration,
+}
+
+impl From<PredictedFootprint> for EstimateSummary {
+    fn from(p: PredictedFootprint) -> EstimateSummary {
+        EstimateSummary {
+            ideal_peak: p.ideal_peak,
+            weight_bytes: p.weight_bytes,
+            iter_wall: p.iter_wall,
+        }
+    }
+}
+
+/// Measured truth for mispredict verification: one unconstrained
+/// measuring run plus planner math — **no validation engine runs**,
+/// which is what keeps the warm-key zero-validation guarantee intact
+/// even while every predicted admission is checked.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VerifiedTruth {
+    /// Peak live memory of the unconstrained measuring run.
+    pub(crate) ideal_peak: u64,
+    /// Smallest planner-feasible budget ([`min_feasible_budget`]) — the
+    /// floor a shrunk Capuchin grant must clear.
+    pub(crate) min_plan: u64,
+}
+
+/// Validation-cache key: `(shape, budget, policy, shrunk, iters)`.
+type ValidationKey = (Shape, u64, &'static str, bool, u64);
+
+/// The cluster's admission controller plus every cache over it, all
+/// keyed by [`Shape`]. The caches memoize pure functions of the spec, so
+/// they survive [`crate::Cluster::reset`] without perturbing
+/// determinism.
+#[derive(Debug)]
+pub(crate) struct AdmissionCache {
+    pub(crate) admission: Admission,
+    device: DeviceSpec,
+    validate_iters: u64,
+    /// Built graphs. Validation runs at distinct byte budgets can't share
+    /// a cache entry, but they all replan over the same graph — rebuilding
+    /// it per run used to dominate Capuchin-admission wall time. Bounded
+    /// by the workload's shape menu, which synthetic generators keep
+    /// small.
+    models: BTreeMap<Shape, Graph>,
+    /// Measured footprints and derived budgets. The trailing flag is the
+    /// policy's admission cost class (`true` = heuristic): heuristic
+    /// needs skip the measured bisection, so the two classes derive
+    /// different budgets from the same measuring run.
+    estimates: BTreeMap<(Shape, bool), (EstimateSummary, JobNeeds)>,
+    /// Validation outcomes: `Some` holds the per-iteration replay trace
+    /// (shared, not cloned, with every admission that hits the cache),
+    /// `None` records a failed run.
+    validations: BTreeMap<ValidationKey, Option<Arc<Vec<ReplayIter>>>>,
+    /// Measured truth for mispredict verification, shared by every
+    /// predicted job of the same shape.
+    truths: BTreeMap<Shape, VerifiedTruth>,
+    /// Validation engine runs already attributed to some job — the
+    /// cursor [`AdmissionCache::charge`] advances against the
+    /// controller's monotone [`Admission::validation_runs`] counter.
+    charged_runs: u64,
+}
+
+/// The graph of `shape`, built on first use.
+fn graph_of(models: &mut BTreeMap<Shape, Graph>, shape: Shape) -> &Graph {
+    models.entry(shape).or_insert_with(|| shape.build())
+}
+
+impl AdmissionCache {
+    pub(crate) fn new(mode: AdmissionMode, device: DeviceSpec, validate_iters: u64) -> Self {
+        let mut admission = Admission::new(mode);
+        admission.validate_iters = validate_iters.max(2);
+        AdmissionCache {
+            admission,
+            device,
+            validate_iters,
+            models: BTreeMap::new(),
+            estimates: BTreeMap::new(),
+            validations: BTreeMap::new(),
+            truths: BTreeMap::new(),
+            charged_runs: 0,
+        }
+    }
+
+    /// Memoized validation entries currently held.
+    pub(crate) fn validation_cache_len(&self) -> usize {
+        self.validations.len()
+    }
+
+    /// Attributes every validation engine run performed since the last
+    /// charge to one job's `counter` — called after each admission-driven
+    /// block, so per-job counts sum exactly to the controller's total.
+    /// Cache-hit admissions charge nothing; heuristic-class policies
+    /// never run a validation engine and stay at zero.
+    pub(crate) fn charge(&mut self, counter: &mut u64) {
+        let total = self.admission.validation_runs();
+        *counter += total - self.charged_runs;
+        self.charged_runs = total;
+    }
+
+    /// Engine iterations a replay of `spec` records: its own count capped
+    /// at the configured validation length, and at least 2 — Capuchin
+    /// needs a measured iteration before a guided one exists to record
+    /// (serving specs leave `iters` at 1).
+    fn replay_iters(&self, spec: &JobSpec) -> u64 {
+        spec.iters.min(self.validate_iters).max(2)
+    }
+
+    /// Footprint and budgets of `spec` at global batch `batch`, measured
+    /// on first use of its shape and cost class. Elastic probes at reduced
+    /// batches share entries through the replica batch in the shape.
+    pub(crate) fn estimate(&mut self, spec: &JobSpec, batch: usize) -> (EstimateSummary, JobNeeds) {
+        let shape = Shape::of(spec, batch);
+        let heuristic = spec.policy.descriptor().cost_class == CostClass::Heuristic;
+        if let Some(cached) = self.estimates.get(&(shape, heuristic)) {
+            return *cached;
+        }
+        let graph = graph_of(&mut self.models, shape);
+        let est =
+            measure_footprint(graph, &self.device).expect("unconstrained measuring run cannot OOM");
+        let needs = shape.needs(&self.admission, graph, &est, spec.policy, heuristic);
+        let summary = EstimateSummary {
+            ideal_peak: est.ideal_peak,
+            weight_bytes: est.weight_bytes,
+            iter_wall: est.iter_wall,
+        };
+        self.estimates.insert((shape, heuristic), (summary, needs));
+        (summary, needs)
+    }
+
+    /// The measured (not heuristic) estimate of `spec` at its requested
+    /// batch, if one was ever taken.
+    pub(crate) fn measured(&self, spec: &JobSpec) -> Option<(EstimateSummary, JobNeeds)> {
+        self.estimates
+            .get(&(Shape::of(spec, spec.batch), false))
+            .copied()
+    }
+
+    /// The replay trace `spec` runs at global batch `batch` under a
+    /// `budget` grant: a memoized validation engine run, or for a
+    /// heuristic-class policy a trace synthesized from the footprint
+    /// estimate ([`AdmissionCache::synthesize_replay`]) that leaves the
+    /// validation cache cold. `None` when the budget cannot run.
+    pub(crate) fn validated_replay(
+        &mut self,
+        spec: &JobSpec,
+        batch: usize,
+        budget: u64,
+        shrunk: bool,
+    ) -> Option<Arc<Vec<ReplayIter>>> {
+        let iters = self.replay_iters(spec);
+        if spec.policy.descriptor().cost_class == CostClass::Heuristic {
+            let (est, _) = self.estimate(spec, batch);
+            return self.synthesize_replay(spec, &est, budget);
+        }
+        let shape = Shape::of(spec, batch);
+        let key = (shape, budget, spec.policy.name(), shrunk, iters);
+        if let Some(cached) = self.validations.get(&key) {
+            return cached.clone();
+        }
+        let graph = graph_of(&mut self.models, shape);
+        let replay = self
+            .admission
+            .validate(graph, &self.device, budget, spec.policy, shrunk, iters)
+            .ok()
+            // An empty trace is a failed validation, not a fast job.
+            .filter(|replay| !replay.is_empty())
+            .map(Arc::new);
+        self.validations.insert(key, replay.clone());
+        replay
+    }
+
+    /// Synthesizes the replay trace an unvalidated (heuristic-class or
+    /// predicted) admission hands the clock: the estimated unconstrained
+    /// iteration wall, stretched by a paging round-trip of the budget
+    /// deficit.
+    ///
+    /// The model is deliberately conservative — the online policy pages
+    /// (or regenerates, usually cheaper) the bytes that no longer fit,
+    /// priced here as one D2H + H2D round trip of the deficit per
+    /// iteration on the device's own transfer model; the synthetic
+    /// transfer pair makes that traffic contend on a shared fabric like
+    /// validated swap timelines do. Below the slack-padded weight floor
+    /// even an online policy cannot run (weights are unevictable), so
+    /// the grant is refused like a failed validation — without an engine
+    /// run and without touching the validation cache.
+    pub(crate) fn synthesize_replay(
+        &self,
+        spec: &JobSpec,
+        est: &EstimateSummary,
+        budget: u64,
+    ) -> Option<Arc<Vec<ReplayIter>>> {
+        if budget < with_slack(est.weight_bytes) {
+            return None;
+        }
+        let deficit = with_slack(est.ideal_peak).saturating_sub(budget);
+        let iter = if deficit == 0 {
+            ReplayIter {
+                wall: est.iter_wall,
+                swap_bytes: 0,
+                recompute_time: Duration::ZERO,
+                evictions: 0,
+                transfers: Vec::new(),
+            }
+        } else {
+            let policy_name = spec.policy.name();
+            let transfers = TransferModel::for_device(&self.device);
+            let out = transfers.time(deficit, CopyDir::DeviceToHost);
+            let back = transfers.time(deficit, CopyDir::HostToDevice);
+            ReplayIter {
+                wall: est.iter_wall + out + back,
+                swap_bytes: deficit.saturating_mul(2),
+                recompute_time: Duration::ZERO,
+                evictions: 1,
+                transfers: vec![
+                    ReplayTransfer {
+                        label: format!("evict:{policy_name}"),
+                        bytes: deficit,
+                        dir: CopyDir::DeviceToHost,
+                        offset: Duration::ZERO,
+                    },
+                    ReplayTransfer {
+                        label: format!("refill:{policy_name}"),
+                        bytes: deficit,
+                        dir: CopyDir::HostToDevice,
+                        offset: out,
+                    },
+                ],
+            }
+        };
+        Some(Arc::new(vec![iter; self.replay_iters(spec) as usize]))
+    }
+
+    /// Measured truth of `spec`'s shape for mispredict verification,
+    /// memoized: one unconstrained measuring run plus planner math
+    /// ([`min_feasible_budget`]) — **zero validation engine runs**, so
+    /// checking predictions never erodes the warm-key guarantee.
+    pub(crate) fn truth(&mut self, spec: &JobSpec) -> VerifiedTruth {
+        let shape = Shape::of(spec, spec.batch);
+        if let Some(&t) = self.truths.get(&shape) {
+            return t;
+        }
+        let est = measure_footprint(graph_of(&mut self.models, shape), &self.device)
+            .expect("unconstrained measuring run cannot OOM");
+        let t = VerifiedTruth {
+            ideal_peak: est.ideal_peak,
+            min_plan: min_feasible_budget(&est, &self.admission.planner),
+        };
+        self.truths.insert(shape, t);
+        t
     }
 }
 

@@ -84,21 +84,26 @@
 
 pub mod admission;
 pub mod cluster;
+pub mod config;
+mod elastic;
 pub mod headroom;
+mod inference;
 pub mod job;
 pub mod parse;
 pub mod policy;
 pub mod predict;
+mod predicted;
+mod session;
+mod settle;
 pub mod stats;
 pub mod strategy;
 
 pub use crate::admission::{
-    min_feasible_budget, Admission, AdmissionDecision, AdmissionMode, AdmissionSource, JobNeeds,
-    ReplayIter, ReplayTransfer,
+    min_feasible_budget, Admission, AdmissionMode, AdmissionSource, JobNeeds, ReplayIter,
+    ReplayTransfer,
 };
-pub use crate::cluster::{
-    CancelError, Cluster, ClusterConfig, ClusterConfigBuilder, ConfigError, JobId,
-};
+pub use crate::cluster::{CancelError, Cluster, JobId};
+pub use crate::config::{ClusterConfig, ClusterConfigBuilder, ConfigError};
 pub use crate::headroom::GpuPool;
 pub use crate::job::{
     load_jobs, parse_memory, synthetic_jobs, synthetic_mixed_jobs, JobFileError, JobPolicy,
