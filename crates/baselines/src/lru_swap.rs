@@ -1,5 +1,5 @@
 //! On-demand LRU paging — the "virtualized GPU memory" class of related
-//! work the paper's §7 discusses ([7] GeePS, [21]): treat host memory as
+//! work the paper's §7 discusses (\[7\] GeePS, \[21\]): treat host memory as
 //! backing store and page tensors in and out on demand, with no awareness
 //! of the training computation.
 //!

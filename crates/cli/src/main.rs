@@ -16,13 +16,13 @@ use std::collections::HashMap;
 use capuchin::Capuchin;
 use capuchin_baselines::{CheckpointMode, GradientCheckpointing, LruSwap, Vdnn};
 use capuchin_cluster::{
-    load_jobs, synthetic_jobs, synthetic_mixed_jobs, AdmissionMode, Cluster, ClusterConfig,
-    JobPolicy, ParseEnumError, StrategyKind,
+    load_jobs, synthetic_jobs, synthetic_mixed_jobs, Cluster, ClusterConfig, JobPolicy,
+    ParseEnumError,
 };
 use capuchin_executor::{Engine, EngineConfig, ExecMode, MemoryPolicy};
 use capuchin_graph::Graph;
 use capuchin_models::ModelKind;
-use capuchin_sim::{DeviceSpec, InterconnectSpec};
+use capuchin_sim::DeviceSpec;
 
 const USAGE: &str = "\
 capuchin-cli — tensor-based GPU memory management, simulated
@@ -47,8 +47,8 @@ USAGE:
                            [--strategy ...] [--aging-rate <r>]
                            [--preemption on|off] [--interconnect ...]
                            [--elastic on|off] [--min-batch-frac <f>]
-                           [--predictive on|off] [--safety-margin <permille>]
-                           [--min-samples <n>]
+                           [--slo-aware on|off] [--predictive on|off]
+                           [--safety-margin <permille>] [--min-samples <n>]
 
 MODELS:    vgg16 resnet50 resnet152 inceptionv3 inceptionv4 densenet bert
 POLICIES:  tf-ori capuchin (default) dtr delta — cluster job-file policies,
@@ -204,17 +204,6 @@ fn make_policy(name: &str, graph: &Graph, spec: &DeviceSpec) -> Box<dyn MemoryPo
 /// raw bytes, embedded whitespace tolerated).
 fn parse_memory(s: &str) -> Result<u64, CliError> {
     capuchin_cluster::parse_memory(s).map_err(CliError::BadMemory)
-}
-
-/// One shared `on`/`off` parser for every boolean cluster flag — the
-/// accepted-spellings message comes from the cluster crate's
-/// [`capuchin_cluster::parse_on_off`], so the CLI, job files and the
-/// serve daemon all reject a bad toggle with the same words.
-fn parse_toggle(args: &Args, key: &str, what: &'static str, default: bool) -> bool {
-    args.flags
-        .get(key)
-        .map(|s| capuchin_cluster::parse_on_off(what, s).unwrap_or_else(|e| fail(&e.to_string())))
-        .unwrap_or(default)
 }
 
 struct Args {
@@ -472,73 +461,34 @@ fn cmd_plan(args: &Args) {
 }
 
 fn cmd_cluster(args: &Args) {
-    args.expect_only(&[
-        "gpus",
-        "memory",
+    const JOB_FLAGS: &[&str] = &[
         "jobs",
         "synthetic",
         "mixed",
         "seed",
         "mean-interarrival",
-        "admission",
-        "strategy",
-        "aging-rate",
-        "preemption",
-        "interconnect",
-        "elastic",
-        "min-batch-frac",
-        "slo-aware",
-        "predictive",
-        "safety-margin",
-        "min-samples",
         "transfer-trace",
         "out",
-    ]);
-    // Cluster size first: job-file gang widths are validated against it.
-    let gpus: usize = args
-        .flags
-        .get("gpus")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--gpus must be an integer"))
-        })
-        .unwrap_or(4);
-    if gpus == 0 {
-        fail("--gpus must be at least 1");
-    }
-    let elastic = parse_toggle(args, "elastic", "--elastic", false);
-    let min_batch_frac: f64 = args
-        .flags
-        .get("min-batch-frac")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--min-batch-frac must be a fraction in (0, 1]"))
-        })
-        .unwrap_or(0.25);
-    // The interconnect is parsed before the job file: inference gang
-    // widths are validated against the fabric's link-domain width at
-    // parse time.
-    let interconnect = args
-        .flags
-        .get("interconnect")
-        .map(|s| InterconnectSpec::parse(s).unwrap_or_else(|e| fail(&e)))
-        .unwrap_or(None);
-    // Without a fabric model there is no domain boundary to violate, so
-    // the whole cluster counts as one link domain.
-    let link_domain = match &interconnect {
-        Some(spec) => (0..gpus)
-            .map(|g| {
-                let d = spec.domain_of(g);
-                (0..gpus).filter(|&h| spec.domain_of(h) == d).count()
-            })
-            .max()
-            .unwrap_or(1),
-        None => gpus,
-    };
+    ];
+    let accepted: Vec<&str> = ClusterConfig::FLAGS
+        .iter()
+        .chain(JOB_FLAGS)
+        .copied()
+        .collect();
+    args.expect_only(&accepted);
+    // The cluster shape first: job files are validated against its size,
+    // elastic floor and link-domain width.
+    let cfg = ClusterConfig::from_flags(&args.flags).unwrap_or_else(|e| fail(&e));
     let jobs = if let Some(path) = args.flags.get("jobs") {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read job file `{path}`: {e}")));
-        load_jobs(&text, gpus, min_batch_frac, link_domain).unwrap_or_else(|e| fail(&e.to_string()))
+        load_jobs(
+            &text,
+            cfg.gpus,
+            cfg.min_batch_fraction,
+            cfg.link_domain_gpus(),
+        )
+        .unwrap_or_else(|e| fail(&e.to_string()))
     } else if args.flags.contains_key("synthetic") || args.flags.contains_key("mixed") {
         let (key, mixed) = if args.flags.contains_key("mixed") {
             ("mixed", true)
@@ -565,80 +515,25 @@ fn cmd_cluster(args: &Args) {
             })
             .unwrap_or(2.0);
         if mixed {
-            synthetic_mixed_jobs(n, gpus, seed, mean)
+            synthetic_mixed_jobs(n, cfg.gpus, seed, mean)
         } else {
             synthetic_jobs(n, seed, mean)
         }
     } else {
         fail("cluster needs --jobs <file>, --synthetic <n>, or --mixed <n>")
     };
-    let admission = args
-        .flags
-        .get("admission")
-        .map(|s| {
-            s.parse::<AdmissionMode>()
-                .unwrap_or_else(|e| fail(&e.to_string()))
-        })
-        .unwrap_or(AdmissionMode::Capuchin);
-    let strategy = args
-        .flags
-        .get("strategy")
-        .map(|s| {
-            s.parse::<StrategyKind>()
-                .unwrap_or_else(|e| fail(&e.to_string()))
-        })
-        .unwrap_or(StrategyKind::FifoFirstFit);
-    let aging_rate: f64 = args
-        .flags
-        .get("aging-rate")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--aging-rate must be a number"))
-        })
-        .unwrap_or(0.1);
-    let preemption = parse_toggle(args, "preemption", "--preemption", false);
-    let slo_aware = parse_toggle(args, "slo-aware", "--slo-aware", true);
-    let predictive = parse_toggle(args, "predictive", "--predictive", false);
-    let safety_margin: u64 = args
-        .flags
-        .get("safety-margin")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--safety-margin must be an integer permille (e.g. 1150)"))
-        })
-        .unwrap_or(1150);
-    let min_samples: u64 = args
-        .flags
-        .get("min-samples")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--min-samples must be a positive integer"))
-        })
-        .unwrap_or(3);
-    let cfg = ClusterConfig::builder()
-        .gpus(gpus)
-        .spec(DeviceSpec::p100_pcie3().with_memory(args.memory()))
-        .admission(admission)
-        .strategy(strategy)
-        .aging_rate(aging_rate)
-        .preemption(preemption)
-        .interconnect(interconnect.clone())
-        .elastic(elastic)
-        .min_batch_fraction(min_batch_frac)
-        .slo_aware(slo_aware)
-        .predictive(predictive)
-        .safety_margin_permille(safety_margin)
-        .min_samples(min_samples)
-        .build()
-        .unwrap_or_else(|e| fail(&e.to_string()));
+    let on_off = |on: bool| if on { "on" } else { "off" };
     eprintln!(
-        "scheduling {} jobs on {gpus} × {:.1} GiB GPUs \
-         ({admission}, {strategy}, preemption {}, elastic {}, interconnect {})",
+        "scheduling {} jobs on {} × {:.1} GiB GPUs \
+         ({}, {}, preemption {}, elastic {}, interconnect {})",
         jobs.len(),
+        cfg.gpus,
         cfg.spec.memory_bytes as f64 / (1 << 30) as f64,
-        if preemption { "on" } else { "off" },
-        if elastic { "on" } else { "off" },
-        interconnect
+        cfg.admission,
+        cfg.strategy,
+        on_off(cfg.preemption),
+        on_off(cfg.elastic),
+        cfg.interconnect
             .as_ref()
             .map_or("off", |spec| spec.name.as_str()),
     );

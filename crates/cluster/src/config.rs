@@ -45,7 +45,7 @@ pub struct ClusterConfig {
     /// allreduce is free — and reproduces pre-interconnect timings
     /// exactly.
     pub interconnect: Option<InterconnectSpec>,
-    /// Elastic re-batching: admit a waiting [`JobSpec::elastic`] job at a
+    /// Elastic re-batching: admit a waiting [`crate::JobSpec::elastic`] job at a
     /// reduced batch when nothing fits at the full batch, and re-grow
     /// resident reduced jobs at completed-iteration boundaries when
     /// headroom frees up. Total samples trained is always preserved — the

@@ -7,6 +7,8 @@
 //!                [--aging-rate <r>] [--preemption on|off]
 //!                [--interconnect off|pcie|peer<k>]
 //!                [--elastic on|off] [--min-batch-frac <f>]
+//!                [--slo-aware on|off] [--predictive on|off]
+//!                [--safety-margin <permille>] [--min-samples <n>]
 //! ```
 //!
 //! Prints one `listening on <addr>` line to stdout once the socket is
@@ -29,9 +31,13 @@ USAGE:
                    [--aging-rate <r>] [--preemption on|off]
                    [--interconnect off|pcie|peer<k>]
                    [--elastic on|off] [--min-batch-frac <f>]
+                   [--slo-aware on|off] [--predictive on|off]
+                   [--safety-margin <permille>] [--min-samples <n>]
 
-Defaults match `capuchin-cli cluster`: 4 × 16 GiB GPUs, capuchin
-admission, fifo placement. --addr defaults to 127.0.0.1:7070; use port 0
+The cluster flags, their defaults and their messages are those of
+`capuchin-cli cluster`: 4 × 16 GiB GPUs, capuchin admission, fifo
+placement, SLO-aware scheduling on (--slo-aware off is the SLO-blind
+baseline). --addr defaults to 127.0.0.1:7070; use port 0
 for an ephemeral port (printed on the `listening on` line). --clock
 virtual (the default) only advances the simulated clock inside `drain`,
 so a fixed submission sequence reproduces the batch run byte-for-byte;

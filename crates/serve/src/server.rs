@@ -21,7 +21,7 @@
 //! subscriber's stream is always complete (modulo explicit `dropped`
 //! markers) before the drain reply is observable.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,11 +29,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use capuchin_cluster::{
-    AdmissionMode, Cluster, ClusterConfig, ClusterTransfer, JobEvent, JobFileError, JobSpec,
-    StrategyKind,
-};
-use capuchin_sim::{DeviceSpec, Duration, InterconnectSpec, Time};
+use capuchin_cluster::{Cluster, ClusterConfig, ClusterTransfer, JobEvent, JobFileError, JobSpec};
+use capuchin_sim::{Duration, Time};
 
 use crate::protocol::{self, Envelope, Op};
 use crate::queue::SubQueue;
@@ -98,36 +95,23 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builds a config from `--flag value` pairs, sharing the cluster
-    /// knobs (and their defaults) with `capuchin-cli cluster`:
-    /// `addr`, `clock`, `gpus`, `memory`, `admission`, `strategy`,
-    /// `aging-rate`, `preemption`, `interconnect`, `elastic`,
-    /// `min-batch-frac`, `predictive`, `safety-margin`, `min-samples`.
+    /// Builds a config from `--flag value` pairs: `addr`, `clock`, and
+    /// the cluster knobs of [`ClusterConfig::from_flags`] — the same
+    /// flags, defaults and messages as `capuchin-cli cluster`.
     ///
     /// # Errors
     ///
     /// Returns a usage message naming the offending flag.
     pub fn from_flags(flags: &HashMap<String, String>) -> Result<ServeConfig, String> {
-        const ACCEPTED: &[&str] = &[
-            "addr",
-            "clock",
-            "gpus",
-            "memory",
-            "admission",
-            "strategy",
-            "aging-rate",
-            "preemption",
-            "interconnect",
-            "elastic",
-            "min-batch-frac",
-            "predictive",
-            "safety-margin",
-            "min-samples",
-        ];
+        let accepted = || {
+            ["addr", "clock"]
+                .into_iter()
+                .chain(ClusterConfig::FLAGS.iter().copied())
+        };
         let mut unknown: Vec<&str> = flags
             .keys()
             .map(String::as_str)
-            .filter(|k| !ACCEPTED.contains(k))
+            .filter(|k| !accepted().any(|a| a == *k))
             .collect();
         unknown.sort_unstable();
         if let Some(first) = unknown.first() {
@@ -135,72 +119,14 @@ impl ServeConfig {
             // run with the flag's default.
             return Err(format!(
                 "unknown flag `--{first}` (accepted: {})",
-                ACCEPTED
-                    .iter()
+                accepted()
                     .map(|a| format!("--{a}"))
                     .collect::<Vec<_>>()
                     .join(", ")
             ));
         }
-        let gpus: usize = match flags.get("gpus") {
-            Some(s) => s.parse().map_err(|_| "--gpus must be an integer")?,
-            None => 4,
-        };
-        let memory = match flags.get("memory") {
-            Some(s) => capuchin_cluster::parse_memory(s)?,
-            None => 16 << 30,
-        };
-        let admission = match flags.get("admission") {
-            Some(s) => s.parse::<AdmissionMode>().map_err(|e| e.to_string())?,
-            None => AdmissionMode::Capuchin,
-        };
-        let strategy = match flags.get("strategy") {
-            Some(s) => s.parse::<StrategyKind>().map_err(|e| e.to_string())?,
-            None => StrategyKind::FifoFirstFit,
-        };
-        let aging_rate: f64 = match flags.get("aging-rate") {
-            Some(s) => s.parse().map_err(|_| "--aging-rate must be a number")?,
-            None => 0.1,
-        };
-        let min_batch_frac: f64 = match flags.get("min-batch-frac") {
-            Some(s) => s
-                .parse()
-                .map_err(|_| "--min-batch-frac must be a fraction in (0, 1]")?,
-            None => 0.25,
-        };
-        let interconnect = match flags.get("interconnect") {
-            Some(s) => InterconnectSpec::parse(s)?,
-            None => None,
-        };
-        let safety_margin: u64 = match flags.get("safety-margin") {
-            Some(s) => s
-                .parse()
-                .map_err(|_| "--safety-margin must be an integer permille (e.g. 1150)")?,
-            None => 1150,
-        };
-        let min_samples: u64 = match flags.get("min-samples") {
-            Some(s) => s
-                .parse()
-                .map_err(|_| "--min-samples must be a positive integer")?,
-            None => 3,
-        };
-        let cluster = ClusterConfig::builder()
-            .gpus(gpus)
-            .spec(DeviceSpec::p100_pcie3().with_memory(memory))
-            .admission(admission)
-            .strategy(strategy)
-            .aging_rate(aging_rate)
-            .preemption(on_off(flags, "preemption", "--preemption")?)
-            .interconnect(interconnect)
-            .elastic(on_off(flags, "elastic", "--elastic")?)
-            .min_batch_fraction(min_batch_frac)
-            .predictive(on_off(flags, "predictive", "--predictive")?)
-            .safety_margin_permille(safety_margin)
-            .min_samples(min_samples)
-            .build()
-            .map_err(|e| e.to_string())?;
         Ok(ServeConfig {
-            cluster,
+            cluster: ClusterConfig::from_flags(flags)?,
             clock: match flags.get("clock") {
                 Some(s) => ClockMode::parse(s)?,
                 None => ClockMode::Virtual,
@@ -210,13 +136,6 @@ impl ServeConfig {
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1:7070".to_owned()),
         })
-    }
-}
-
-fn on_off(flags: &HashMap<String, String>, key: &str, what: &'static str) -> Result<bool, String> {
-    match flags.get(key) {
-        None => Ok(false),
-        Some(s) => capuchin_cluster::parse_on_off(what, s).map_err(|e| e.to_string()),
     }
 }
 
@@ -253,23 +172,10 @@ struct SubmitLimits {
 
 impl SubmitLimits {
     fn of(cfg: &ClusterConfig) -> SubmitLimits {
-        // The widest link domain bounds an inference gang. Without a
-        // fabric model there is no domain boundary to violate, so the
-        // whole cluster counts as one link domain.
-        let link_domain_gpus = match &cfg.interconnect {
-            Some(spec) => {
-                let mut sizes = BTreeMap::new();
-                for g in 0..cfg.gpus {
-                    *sizes.entry(spec.domain_of(g)).or_insert(0) += 1;
-                }
-                sizes.into_values().max().unwrap_or(1)
-            }
-            None => cfg.gpus,
-        };
         SubmitLimits {
             gpus: cfg.gpus,
             min_batch_fraction: cfg.min_batch_fraction,
-            link_domain_gpus,
+            link_domain_gpus: cfg.link_domain_gpus(),
         }
     }
 

@@ -318,6 +318,11 @@ fn from_flags_rejects_unknown_flags() {
     assert!(err.contains("--preemption"), "accepted list missing: {err}");
     flags.remove("preempt");
     assert!(ServeConfig::from_flags(&flags).is_ok());
+    // The daemon takes every cluster flag the CLI takes.
+    flags.insert("slo-aware".to_owned(), "off".to_owned());
+    let cfg = ServeConfig::from_flags(&flags).expect("--slo-aware is accepted");
+    assert!(!cfg.cluster.slo_aware);
+    assert_eq!(cfg.cluster.gpus, 2);
 }
 
 fn start(clock: ClockMode) -> capuchin_serve::ServerHandle {

@@ -157,11 +157,17 @@ impl KernelCost {
 /// # Examples
 ///
 /// ```
-/// use capuchin_sim::{CopyDir, DeviceSpec, Event, Gpu, KernelCost};
+/// use capuchin_sim::{CopyDir, DeviceSpec, Event, Gpu, KernelCost, TransferRequest};
 ///
 /// let mut gpu = Gpu::new(DeviceSpec::p100_pcie3());
 /// let k = gpu.launch_kernel("conv", KernelCost::compute_bound(1e9, 0.5), Event::COMPLETED);
-/// let c = gpu.launch_copy("swap-out", 1 << 20, CopyDir::DeviceToHost, k.done);
+/// let c = gpu.submit_transfer(TransferRequest {
+///     label: "swap-out".to_owned(),
+///     bytes: 1 << 20,
+///     dir: CopyDir::DeviceToHost,
+///     earliest: k.done.time(),
+///     deadline: None,
+/// });
 /// assert!(c.start >= k.end);
 /// ```
 #[derive(Debug)]
@@ -261,25 +267,6 @@ impl Gpu {
         tr
     }
 
-    /// Enqueues a PCIe transfer of `bytes` in direction `dir` after
-    /// `after` — a thin wrapper over
-    /// [`submit_transfer`](Gpu::submit_transfer) for callers holding a
-    /// cross-stream [`Event`].
-    pub fn launch_copy(&mut self, label: &str, bytes: u64, dir: CopyDir, after: Event) -> Enqueued {
-        let tr = self.submit_transfer(TransferRequest {
-            label: label.to_owned(),
-            bytes,
-            dir,
-            earliest: after.time(),
-            deadline: None,
-        });
-        Enqueued {
-            start: tr.start,
-            end: tr.end,
-            done: Event::at(tr.end),
-        }
-    }
-
     /// Takes the per-transfer timeline accumulated since the last drain.
     pub fn drain_transfers(&mut self) -> Vec<TransferRecord> {
         self.transfers.drain_records()
@@ -328,6 +315,17 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An untimed copy request of `bytes` that may start at `earliest`.
+    fn copy(bytes: u64, dir: CopyDir, earliest: Time) -> TransferRequest {
+        TransferRequest {
+            label: "c".to_owned(),
+            bytes,
+            dir,
+            earliest,
+            deadline: None,
+        }
+    }
 
     fn small_spec() -> DeviceSpec {
         DeviceSpec {
@@ -379,7 +377,7 @@ mod tests {
         let mut gpu = Gpu::new(small_spec());
         let k = gpu.launch_kernel("k", KernelCost::compute_bound(1e9, 1.0), Event::COMPLETED);
         // Independent copy starts immediately, overlapping the kernel.
-        let c = gpu.launch_copy("c", 10_000_000, CopyDir::DeviceToHost, Event::COMPLETED);
+        let c = gpu.submit_transfer(copy(10_000_000, CopyDir::DeviceToHost, Time::ZERO));
         assert_eq!(c.start, Time::ZERO);
         assert_eq!(k.start, Time::ZERO);
         assert_eq!(gpu.quiescent_at(), k.end.max(c.end));
@@ -389,7 +387,7 @@ mod tests {
     fn dependent_copy_waits_for_kernel() {
         let mut gpu = Gpu::new(small_spec());
         let k = gpu.launch_kernel("k", KernelCost::compute_bound(1e9, 1.0), Event::COMPLETED);
-        let c = gpu.launch_copy("c", 1, CopyDir::DeviceToHost, k.done);
+        let c = gpu.submit_transfer(copy(1, CopyDir::DeviceToHost, k.done.time()));
         assert_eq!(c.start, k.end);
     }
 
@@ -398,7 +396,7 @@ mod tests {
         let mut gpu = Gpu::new(small_spec());
         gpu.enable_trace();
         gpu.launch_kernel("k", KernelCost::compute_bound(1e6, 1.0), Event::COMPLETED);
-        gpu.launch_copy("c", 1024, CopyDir::HostToDevice, Event::COMPLETED);
+        gpu.submit_transfer(copy(1024, CopyDir::HostToDevice, Time::ZERO));
         let trace = gpu.take_trace().expect("trace enabled");
         assert_eq!(trace.events().len(), 2);
         assert_eq!(trace.events()[0].kind, TraceKind::Kernel);

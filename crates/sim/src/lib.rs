@@ -20,13 +20,19 @@
 //! ## Example
 //!
 //! ```
-//! use capuchin_sim::{CopyDir, DeviceSpec, Event, Gpu, KernelCost};
+//! use capuchin_sim::{CopyDir, DeviceSpec, Event, Gpu, KernelCost, Time, TransferRequest};
 //!
 //! let mut gpu = Gpu::new(DeviceSpec::p100_pcie3());
 //! // A convolution-sized kernel...
 //! let conv = gpu.launch_kernel("conv", KernelCost::compute_bound(2.0e10, 0.55), Event::COMPLETED);
 //! // ...overlapped with an eviction of a 256 MiB tensor.
-//! let swap = gpu.launch_copy("evict", 256 << 20, CopyDir::DeviceToHost, Event::COMPLETED);
+//! let swap = gpu.submit_transfer(TransferRequest {
+//!     label: "evict".to_owned(),
+//!     bytes: 256 << 20,
+//!     dir: CopyDir::DeviceToHost,
+//!     earliest: Time::ZERO,
+//!     deadline: None,
+//! });
 //! // The next kernel needs the conv output only:
 //! let next = gpu.launch_kernel("relu", KernelCost::memory_bound(1.0e8), conv.done);
 //! assert!(next.start >= conv.end);

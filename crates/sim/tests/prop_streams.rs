@@ -4,6 +4,7 @@
 
 use capuchin_sim::{
     CopyDir, DeviceSpec, Duration, Event, Gpu, KernelCost, Stream, StreamKind, Time,
+    TransferRequest,
 };
 use proptest::prelude::*;
 
@@ -37,7 +38,13 @@ proptest! {
         let mut last_kernel = Event::COMPLETED;
         for (f, b) in flops.iter().zip(bytes.iter()) {
             let k = gpu.launch_kernel("k", KernelCost::compute_bound(*f, 0.5), last_kernel);
-            let c = gpu.launch_copy("c", *b, CopyDir::DeviceToHost, k.done);
+            let c = gpu.submit_transfer(TransferRequest {
+                label: "c".to_owned(),
+                bytes: *b,
+                dir: CopyDir::DeviceToHost,
+                earliest: k.done.time(),
+                deadline: None,
+            });
             prop_assert!(c.start >= k.end, "dependent copy started early");
             last_kernel = k.done;
         }

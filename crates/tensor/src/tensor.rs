@@ -4,7 +4,7 @@
 //! stable id, access count, last-access timestamp, a five-state status, and
 //! lineage (`inputs` + producing operation) for recomputation. The stable
 //! [`TensorKey`] is what lets Capuchin "locate the same tensor across
-//! multiple iterations [whose] underlying memory address could be different"
+//! multiple iterations \[whose\] underlying memory address could be different"
 //! (§5.2) — here it is derived from the graph value a tensor materializes.
 
 use std::collections::HashMap;

@@ -10,8 +10,8 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --workspace --no-deps (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+echo "==> cargo doc --workspace --no-deps --document-private-items (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items --quiet
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
