@@ -20,7 +20,8 @@
 //!
 //! Every [`Admission::validate`] call is a *real engine run* — milliseconds
 //! of planner + executor work, not a table lookup. The cluster memoizes
-//! results by `(model, batch, budget, policy, shrunk, iters)`, so under
+//! results in one shape-keyed cache (`AdmissionCache`) by `(shape,
+//! budget, policy, shrunk, iters)`, so under
 //! tf-ori admission (grants always equal `full`) a whole workload's
 //! validations collapse onto its shape menu. Under Capuchin admission the
 //! grant is `min(headroom, full)` — an arbitrary byte value — so every
@@ -467,17 +468,6 @@ impl Shape {
         }
     }
 
-    /// The graph the shape runs: the training graph, or its forward
-    /// prefix for a serving job (no backward pass to fit).
-    fn build(self) -> Graph {
-        let graph = self.model.build(self.replica_batch).graph;
-        if self.forward {
-            graph.forward_prefix()
-        } else {
-            graph
-        }
-    }
-
     /// Derives admission budgets from a measuring run over this shape's
     /// graph. Heuristic-class policies use planner math only; measured
     /// ones verify by engine runs, escalating a forward-only `full` until
@@ -564,7 +554,7 @@ pub(crate) struct AdmissionCache {
     /// Validation outcomes: `Some` holds the per-iteration replay trace
     /// (shared, not cloned, with every admission that hits the cache),
     /// `None` records a failed run.
-    validations: BTreeMap<ValidationKey, Option<Arc<Vec<ReplayIter>>>>,
+    pub(crate) validations: BTreeMap<ValidationKey, Option<Arc<Vec<ReplayIter>>>>,
     /// Measured truth for mispredict verification, shared by every
     /// predicted job of the same shape.
     truths: BTreeMap<Shape, VerifiedTruth>,
@@ -574,9 +564,17 @@ pub(crate) struct AdmissionCache {
     charged_runs: u64,
 }
 
-/// The graph of `shape`, built on first use.
+/// The graph `shape` runs, built on first use: the training graph, or
+/// its forward prefix for a serving job (no backward pass to fit).
 fn graph_of(models: &mut BTreeMap<Shape, Graph>, shape: Shape) -> &Graph {
-    models.entry(shape).or_insert_with(|| shape.build())
+    models.entry(shape).or_insert_with(|| {
+        let graph = shape.model.build(shape.replica_batch).graph;
+        if shape.forward {
+            graph.forward_prefix()
+        } else {
+            graph
+        }
+    })
 }
 
 impl AdmissionCache {
@@ -593,11 +591,6 @@ impl AdmissionCache {
             truths: BTreeMap::new(),
             charged_runs: 0,
         }
-    }
-
-    /// Memoized validation entries currently held.
-    pub(crate) fn validation_cache_len(&self) -> usize {
-        self.validations.len()
     }
 
     /// Attributes every validation engine run performed since the last

@@ -167,7 +167,7 @@ impl Cluster {
     /// heuristic-class admissions must leave this cache cold, so an
     /// all-`dtr` workload reports zero here.
     pub fn validation_cache_len(&self) -> usize {
-        self.cache.validation_cache_len()
+        self.cache.validations.len()
     }
 
     /// Total validation engine runs the admission controller has
@@ -316,7 +316,7 @@ impl Cluster {
             },
             preemptions: j.preemptions,
             rebatches: j.elastic.as_ref().map_or(0, |e| e.rebatches),
-            admission_source: j.admission_source.name().to_owned(),
+            admission_source: j.source_name().to_owned(),
         })
     }
 
@@ -533,37 +533,6 @@ impl Cluster {
             .max()
             .unwrap_or(start);
         let makespan = end.saturating_since(start);
-        let completed: Vec<&JobRun> = jobs.iter().filter(|j| j.finished_at.is_some()).collect();
-        // `samples_done` equals `batch × iters` for every completed job,
-        // elastic or not: re-batching preserves the sample count exactly.
-        // Summed in integers; the one float conversion happens at the
-        // throughput division below so no per-job precision is lost.
-        let total_samples: u64 = completed.iter().map(|j| j.samples_done).sum();
-        let mean = |durs: Vec<Duration>| -> Duration {
-            if durs.is_empty() {
-                return Duration::ZERO;
-            }
-            // u128 accumulation: a u64-nanos sum can overflow on long
-            // runs with many samples.
-            let total: u128 = durs.iter().map(|d| d.as_nanos() as u128).sum();
-            Duration::from_nanos((total / durs.len() as u128) as u64)
-        };
-        let mean_queueing_delay = mean(
-            completed
-                .iter()
-                .map(|j| {
-                    j.admitted_at
-                        .expect("completed job was admitted")
-                        .saturating_since(j.arrival)
-                })
-                .collect(),
-        );
-        let mean_jct = mean(
-            completed
-                .iter()
-                .map(|j| j.finished_at.expect("filtered").saturating_since(j.arrival))
-                .collect(),
-        );
         let job_stats: Vec<JobStats> = jobs
             .iter()
             .map(|j| {
@@ -618,14 +587,29 @@ impl Cluster {
                     recompute_time: j.recompute_time,
                     evictions: j.evictions,
                     admission_validations: j.admission_validations,
-                    admission_source: j.admission_source.name().to_owned(),
+                    admission_source: j.source_name().to_owned(),
                     predicted_bytes: prediction.map_or(0, |p| p.padded_full),
                     prediction_error_permille: prediction.map_or(0, |p| p.error_permille),
                     mispredict_recoveries: prediction.map_or(0, |p| p.recoveries),
                 }
             })
             .collect();
-        let count = |outcome| jobs.iter().filter(|j| j.phase.outcome() == outcome).count();
+        let count = |outcome| job_stats.iter().filter(|j| j.outcome == outcome).count();
+        let completed: Vec<&JobStats> = job_stats
+            .iter()
+            .filter(|j| j.outcome == JobOutcome::Completed)
+            .collect();
+        let mean = |of: fn(&JobStats) -> Duration| -> Duration {
+            // u128 accumulation: a u64-nanos sum can overflow on long
+            // runs with many samples.
+            let total: u128 = completed.iter().map(|&j| of(j).as_nanos() as u128).sum();
+            Duration::from_nanos(total.checked_div(completed.len() as u128).unwrap_or(0) as u64)
+        };
+        // `samples_preserved` equals `batch × iters` for every completed
+        // job, elastic or not: re-batching preserves the sample count
+        // exactly. Summed in integers; the one float conversion happens at
+        // the throughput division below so no per-job precision is lost.
+        let total_samples: u64 = completed.iter().map(|j| j.samples_preserved).sum();
         let total_requests: u64 = job_stats.iter().map(|j| j.requests_served).sum();
         let total_misses: u64 = job_stats.iter().map(|j| j.slo_misses).sum();
         let makespan_ns = makespan.as_nanos();
@@ -681,8 +665,8 @@ impl Cluster {
             } else {
                 total_samples as f64 / makespan.as_secs_f64()
             },
-            mean_queueing_delay,
-            mean_jct,
+            mean_queueing_delay: mean(|j| j.queueing_delay),
+            mean_jct: mean(|j| j.jct),
             interconnect: s
                 .fabric
                 .as_ref()
@@ -700,11 +684,15 @@ impl Cluster {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use capuchin_sim::{DeviceSpec, InterconnectSpec};
 
     use super::*;
-    use crate::admission::AdmissionMode;
+    use crate::admission::{AdmissionMode, ReplayIter};
+    use crate::config::ConfigError;
     use crate::job::{synthetic_jobs, JobPolicy};
+    use crate::session::{EmptyWalls, GpuState};
     use crate::stats::JobState;
     use crate::strategy::StrategyKind;
 
@@ -953,6 +941,76 @@ mod tests {
         assert!(first.jct < solo_jct.mul_f64(2.0));
     }
 
+    /// The re-pricing itself, in isolation: a job mid-iteration at 1×
+    /// whose GPU gains a neighbour must finish that iteration later than
+    /// scheduled, by the remaining fraction at 2×.
+    #[test]
+    fn reprice_splits_iteration_at_residency_change() {
+        let mut jobs = vec![JobRun::new(
+            &JobSpec {
+                name: "j".into(),
+                model: capuchin_models::ModelKind::ResNet50,
+                batch: 1,
+                gpus: 1,
+                policy: JobPolicy::TfOri,
+                iters: 1,
+                priority: 0,
+                arrival_time: 0.0,
+                elastic: false,
+                ..JobSpec::default()
+            },
+            0,
+        )];
+        jobs[0].gpus_held = vec![0];
+        jobs[0].replay = Arc::new(vec![ReplayIter {
+            wall: Duration::from_millis(100),
+            swap_bytes: 0,
+            recompute_time: Duration::ZERO,
+            evictions: 0,
+            transfers: vec![],
+        }]);
+        let mut gpus = vec![GpuState::new(1 << 30)];
+        gpus[0].resident.push(0);
+        let mut s = Session::default();
+        s.jobs = jobs;
+        s.gpus = gpus;
+        s.schedule_iter(0, Time::ZERO).unwrap();
+        let e = s.heap.peek().unwrap();
+        assert_eq!(e.at.as_nanos(), Duration::from_millis(100).as_nanos());
+        assert_eq!(e.epoch, s.jobs[0].epoch);
+        // A neighbour joins at t = 40 ms: 60 ms of base wall remain, now
+        // at 2× -> new end at 40 + 120 = 160 ms.
+        s.gpus[0].resident.push(1);
+        s.jobs.push(JobRun::new(&s.jobs[0].spec.clone(), 1));
+        let at = Time::ZERO + Duration::from_millis(40);
+        s.reprice(&[0], at);
+        let newest = s
+            .heap
+            .iter()
+            .find(|e| e.job == 0 && e.epoch == s.jobs[0].epoch)
+            .expect("re-priced event exists");
+        assert_eq!(newest.at.as_nanos(), Duration::from_millis(160).as_nanos());
+    }
+
+    /// Empty replay traces are rejected: `schedule_iter` refuses to
+    /// fabricate zero-time iterations.
+    #[test]
+    fn schedule_iter_rejects_empty_walls() {
+        let mut jobs = vec![JobRun::new(
+            &JobSpec {
+                name: "a".into(),
+                ..JobSpec::default()
+            },
+            0,
+        )];
+        jobs[0].gpus_held = vec![0];
+        let mut s = Session::default();
+        s.jobs = jobs;
+        s.gpus = vec![GpuState::new(1 << 30)];
+        assert_eq!(s.schedule_iter(0, Time::ZERO), Err(EmptyWalls));
+        assert!(s.heap.peek().is_none());
+    }
+
     /// On a contended single GPU, best-fit with preemption starts a
     /// high-priority arrival before the resident low-priority job
     /// finishes; the victim checkpoints out, resumes, and completes with
@@ -1038,6 +1096,83 @@ mod tests {
         .run(&jobs);
         assert_eq!(stats.preemptions, 0);
         assert!(stats.jobs.iter().all(|j| j.preemptions == 0));
+    }
+
+    /// The builder refuses out-of-range knobs with typed errors instead of
+    /// letting a bad configuration reach the event loop.
+    #[test]
+    fn builder_rejects_bad_knobs() {
+        assert_eq!(
+            ClusterConfig::builder().gpus(0).build().unwrap_err(),
+            ConfigError::NoGpus
+        );
+        assert_eq!(
+            ClusterConfig::builder()
+                .aging_rate(-0.5)
+                .build()
+                .unwrap_err(),
+            ConfigError::BadAgingRate(-0.5)
+        );
+        assert!(matches!(
+            ClusterConfig::builder()
+                .aging_rate(f64::NAN)
+                .build()
+                .unwrap_err(),
+            ConfigError::BadAgingRate(_)
+        ));
+        assert_eq!(
+            ClusterConfig::builder()
+                .validate_iters(1)
+                .build()
+                .unwrap_err(),
+            ConfigError::TooFewValidateIters(1)
+        );
+        assert_eq!(
+            ClusterConfig::builder()
+                .min_batch_fraction(0.0)
+                .build()
+                .unwrap_err(),
+            ConfigError::BadBatchFraction(0.0)
+        );
+        assert_eq!(
+            ClusterConfig::builder()
+                .min_batch_fraction(1.5)
+                .build()
+                .unwrap_err(),
+            ConfigError::BadBatchFraction(1.5)
+        );
+        assert_eq!(
+            ClusterConfig::builder()
+                .safety_margin_permille(999)
+                .build()
+                .unwrap_err(),
+            ConfigError::BadSafetyMargin(999)
+        );
+        assert_eq!(
+            ClusterConfig::builder()
+                .safety_margin_permille(10001)
+                .build()
+                .unwrap_err(),
+            ConfigError::BadSafetyMargin(10001)
+        );
+        assert_eq!(
+            ClusterConfig::builder().min_samples(0).build().unwrap_err(),
+            ConfigError::BadMinSamples(0)
+        );
+        let msg = ConfigError::TooFewValidateIters(1).to_string();
+        assert!(msg.contains("at least 2 iterations"), "{msg}");
+        let msg = ConfigError::BadSafetyMargin(999).to_string();
+        assert!(msg.contains("never shaved"), "{msg}");
+        assert!(ClusterConfig::builder()
+            .min_batch_fraction(1.0)
+            .build()
+            .is_ok());
+        assert!(ClusterConfig::builder()
+            .predictive(true)
+            .safety_margin_permille(1000)
+            .min_samples(1)
+            .build()
+            .is_ok());
     }
 
     /// An elastic job that cannot fit at its full batch next to a resident

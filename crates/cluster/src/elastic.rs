@@ -226,7 +226,7 @@ impl Cluster {
                     // whatever the arrival-time provenance said: record
                     // the stronger guarantee and skip mispredict
                     // verification.
-                    j.admission_source = AdmissionSource::Measured;
+                    j.admission_source = Some(AdmissionSource::Measured);
                     j.shrunk = shrunk;
                     j.replay = replay;
                     j.cur_batch = batch;
@@ -356,7 +356,7 @@ impl Cluster {
             s.jobs[job].record_failed(batch, grant);
             return false;
         };
-        s.jobs[job].admission_source = AdmissionSource::Measured;
+        s.jobs[job].admission_source = Some(AdmissionSource::Measured);
         let dev = &self.cfg.spec;
         let old = s.jobs[job].reserved;
         let out = s.host_copy(dev, job, now, old, CopyDir::DeviceToHost, labels[0]);

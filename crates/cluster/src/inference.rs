@@ -17,7 +17,7 @@ use crate::stats::{JobEventKind, JobOutcome};
 use crate::strategy::slo_boost_permille;
 
 /// Per-job state of an inference job, created with the job at submission.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Serving {
     /// Deterministic generator for request inter-arrival jitter, seeded
     /// from the submission index.
@@ -52,14 +52,8 @@ impl Serving {
             // Mixing in a large odd constant decorrelates consecutive
             // submission indices through splitmix's finalizer.
             rng: SplitMix64::new((id as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x5EED),
-            scheduled: 0,
-            queue: VecDeque::new(),
-            inflight: Vec::new(),
-            base: JobNeeds { full: 0, min: 0 },
-            latencies: Vec::new(),
-            served: 0,
-            slo_misses: 0,
             slo_ns: spec.slo_nanos(),
+            ..Serving::default()
         }
     }
 

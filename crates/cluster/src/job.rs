@@ -679,7 +679,7 @@ pub fn parse_memory(s: &str) -> Result<u64, String> {
 }
 
 /// A deterministic splitmix64 generator for synthetic workloads.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SplitMix64 {
     state: u64,
 }

@@ -24,7 +24,7 @@ use crate::stats::{JobEventKind, JobOutcome};
 /// Per-job record of a predicted admission, created at arrival when the
 /// predictor's key was warm. It outlives a recovery: the stats report
 /// what was predicted and how far off it was.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Prediction {
     /// Margin-padded predicted full reservation — the budget the job was
     /// actually admitted on.
@@ -75,9 +75,7 @@ impl Cluster {
                 let prediction = Prediction {
                     padded_full: base.full,
                     raw_full: raw.full,
-                    error_permille: 0,
-                    recoveries: 0,
-                    checked: false,
+                    ..Prediction::default()
                 };
                 let source = AdmissionSource::Predicted {
                     margin_permille: margin,
@@ -101,7 +99,7 @@ impl Cluster {
             }
         }
         let j = &mut s.jobs[job];
-        j.admission_source = source;
+        j.admission_source = Some(source);
         j.prediction = prediction;
         j.set_needs(&est, base);
     }
@@ -149,7 +147,7 @@ impl Cluster {
         match &j.prediction {
             Some(p)
                 if !p.checked
-                    && matches!(j.admission_source, AdmissionSource::Predicted { .. }) => {}
+                    && matches!(j.admission_source, Some(AdmissionSource::Predicted { .. })) => {}
             _ => return false,
         }
         let truth = self.cache.truth(&j.spec);
@@ -211,7 +209,7 @@ impl Cluster {
         // forced them, not whoever admits next.
         self.cache.charge(&mut s.jobs[job].admission_validations);
         let j = &mut s.jobs[job];
-        j.admission_source = AdmissionSource::Measured;
+        j.admission_source = Some(AdmissionSource::Measured);
         j.set_needs(&est, base);
         if j.needs.min <= self.cfg.spec.memory_bytes {
             s.enqueue(job);
@@ -233,7 +231,10 @@ impl Cluster {
         let spec = &s.jobs[job].spec;
         if !self.cfg.predictive
             || !spec.policy.descriptor().predictable
-            || !matches!(s.jobs[job].admission_source, AdmissionSource::Measured)
+            || !matches!(
+                s.jobs[job].admission_source,
+                Some(AdmissionSource::Measured)
+            )
         {
             return;
         }

@@ -27,10 +27,11 @@ use crate::strategy::CandidateJob;
 /// Where a job is in its lifecycle. Each variant is one legal state;
 /// DESIGN.md §8 tabulates the public [`JobState`]/[`JobOutcome`] each
 /// maps to and the events legal in each.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) enum Phase {
     /// Submitted and waiting for its arrival to process, or waiting for
     /// placement.
+    #[default]
     Queued,
     /// Resident with an iteration's compute (or a serving round) in
     /// flight: [`EventKind::IterEnd`] is scheduled.
@@ -70,7 +71,7 @@ impl Phase {
 
 /// Per-job simulation state: the fields every job class uses, plus one
 /// optional record per class-specific concern.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct JobRun {
     pub(crate) spec: JobSpec,
     pub(crate) arrival: Time,
@@ -154,11 +155,11 @@ pub(crate) struct JobRun {
     /// hits charge nothing; heuristic-class policies stay at zero by
     /// construction).
     pub(crate) admission_validations: u64,
-    /// Where this job's current admission budgets came from. Flips back
-    /// to `Measured` when a mispredict recovery re-admits the job, or
-    /// when the elastic pass re-derives (and engine-validates) budgets
-    /// at a reduced batch.
-    pub(crate) admission_source: AdmissionSource,
+    /// Where this job's current admission budgets came from; `None`
+    /// until its arrival derives them. Flips back to `Measured` when a
+    /// mispredict recovery re-admits the job, or when an elastic batch
+    /// change re-derives (and engine-validates) budgets.
+    pub(crate) admission_source: Option<AdmissionSource>,
     /// Inference serving state; `Some` exactly for inference jobs.
     pub(crate) serving: Option<Serving>,
     /// Elastic re-batching state; `Some` for elastic training jobs on a
@@ -182,43 +183,19 @@ impl JobRun {
             spec: spec.clone(),
             arrival,
             queued_at: arrival,
-            needs: JobNeeds { full: 0, min: 0 },
-            footprint: 0,
-            grad_bytes: 0,
-            failed: BTreeMap::new(),
-            phase: Phase::Queued,
-            gpus_held: Vec::new(),
-            reserved: 0,
-            shrunk: false,
-            admitted_at: None,
-            finished_at: None,
-            replay: Arc::new(Vec::new()),
-            iters_done: 0,
-            queue_key: None,
             cur_batch: spec.batch.max(1),
             samples_total,
-            samples_done: 0,
-            epoch: 0,
-            iter_wall: Duration::ZERO,
-            iter_k: 1.0,
-            iter_started: Time::ZERO,
-            iter_priced_at: Time::ZERO,
-            iter_progress: 0.0,
-            preemptions: 0,
-            wasted_work: Duration::ZERO,
-            resume_latency: Duration::ZERO,
-            checkpoint_overhead: Duration::ZERO,
-            allreduce_time: Duration::ZERO,
-            comm_delay: Duration::ZERO,
-            lead: BTreeMap::new(),
-            recompute_time: Duration::ZERO,
-            evictions: 0,
-            admission_validations: 0,
-            admission_source: AdmissionSource::Measured,
             serving,
-            elastic: None,
-            prediction: None,
+            ..JobRun::default()
         }
+    }
+
+    /// Stats/wire name of the admission source; a job whose arrival has
+    /// not been processed yet reports `measured`.
+    pub(crate) fn source_name(&self) -> &'static str {
+        self.admission_source
+            .unwrap_or(AdmissionSource::Measured)
+            .name()
     }
 
     /// The gang width (defensively at least 1).
@@ -323,7 +300,7 @@ impl JobRun {
 }
 
 /// Per-GPU reservation ledger with a byte-time integral for utilization.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct GpuState {
     pub(crate) capacity: u64,
     pub(crate) reserved: u64,
@@ -338,12 +315,7 @@ impl GpuState {
     pub(crate) fn new(capacity: u64) -> GpuState {
         GpuState {
             capacity,
-            reserved: 0,
-            resident: Vec::new(),
-            peak: 0,
-            byte_ns: 0,
-            last_touch: Time::ZERO,
-            hosted: 0,
+            ..GpuState::default()
         }
     }
 
@@ -366,7 +338,7 @@ fn remove_resident(g: &mut GpuState, job: usize) {
 }
 
 /// What a scheduled event does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum EventKind {
     /// The job's submission time came up: admission, then the queue.
     Arrive,
@@ -396,17 +368,19 @@ pub(crate) enum EventKind {
     Remeasure,
 }
 
-/// One scheduled event, ordered by `(time, class, sequence)`. The class
-/// ranks arrivals (0) ahead of scheduled events (1) at the same instant,
-/// so an online [`crate::Cluster::submit`] — whose arrival necessarily
-/// draws a later sequence number than events already in flight —
-/// processes exactly where the batch loop (which pushes every arrival
-/// before any scheduled event exists) would have ordered it. The
-/// sequence number is unique, so the order is total; the epoch
-/// invalidates events superseded by re-pricing or preemption.
-#[derive(Debug, Clone, Copy)]
+/// One scheduled event, ordered by `(time, class, sequence)` — the field
+/// order, so the derived order is that key (the sequence number is
+/// unique, so no later field is ever compared). The class ranks arrivals
+/// (`late == false`) ahead of scheduled events at the same instant, so an
+/// online [`crate::Cluster::submit`] — whose arrival necessarily draws a
+/// later sequence number than events already in flight — processes
+/// exactly where the batch loop (which pushes every arrival before any
+/// scheduled event exists) would have ordered it. The epoch invalidates
+/// events superseded by re-pricing or preemption.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Event {
     pub(crate) at: Time,
+    late: bool,
     seq: u64,
     pub(crate) epoch: u64,
     pub(crate) job: usize,
@@ -417,10 +391,6 @@ pub(crate) struct Event {
 const _: () = assert!(std::mem::size_of::<Event>() <= 40);
 
 impl Event {
-    fn key(&self) -> (Time, bool, u64) {
-        (self.at, self.kind != EventKind::Arrive, self.seq)
-    }
-
     /// Whether the event was superseded before it fired — the one
     /// staleness rule. Arrivals and request arrivals are an external
     /// process, so epoch bumps (re-pricing, preemption) must not drop
@@ -432,26 +402,6 @@ impl Event {
             EventKind::Arrive | EventKind::Request => matches!(j.phase, Phase::Done(_)),
             _ => self.epoch != j.epoch,
         }
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Event) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Event) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Event) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
     }
 }
 
@@ -467,13 +417,16 @@ impl EventHeap {
     pub(crate) fn push(&mut self, at: Time, kind: EventKind, job: usize, epoch: u64) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Event {
+        let late = kind != EventKind::Arrive;
+        let event = Event {
             at,
+            late,
             seq,
             epoch,
             job,
             kind,
-        }));
+        };
+        self.heap.push(Reverse(event));
     }
 
     pub(crate) fn peek(&self) -> Option<Event> {
@@ -1090,84 +1043,4 @@ fn contention_factor(jobs: &[JobRun], gpus: &[GpuState], job: usize) -> f64 {
         .max()
         .unwrap_or(1)
         .max(1) as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::job::JobPolicy;
-
-    /// The re-pricing itself, in isolation: a job mid-iteration at 1×
-    /// whose GPU gains a neighbour must finish that iteration later than
-    /// scheduled, by the remaining fraction at 2×.
-    #[test]
-    fn reprice_splits_iteration_at_residency_change() {
-        let mut jobs = vec![JobRun::new(
-            &JobSpec {
-                name: "j".into(),
-                model: capuchin_models::ModelKind::ResNet50,
-                batch: 1,
-                gpus: 1,
-                policy: JobPolicy::TfOri,
-                iters: 1,
-                priority: 0,
-                arrival_time: 0.0,
-                elastic: false,
-                ..JobSpec::default()
-            },
-            0,
-        )];
-        jobs[0].gpus_held = vec![0];
-        jobs[0].replay = Arc::new(vec![ReplayIter {
-            wall: Duration::from_millis(100),
-            swap_bytes: 0,
-            recompute_time: Duration::ZERO,
-            evictions: 0,
-            transfers: vec![],
-        }]);
-        let mut gpus = vec![GpuState::new(1 << 30)];
-        gpus[0].resident.push(0);
-        let mut s = Session {
-            jobs,
-            gpus,
-            ..Session::default()
-        };
-        s.schedule_iter(0, Time::ZERO).unwrap();
-        let e = s.heap.peek().unwrap();
-        assert_eq!(e.at.as_nanos(), Duration::from_millis(100).as_nanos());
-        assert_eq!(e.epoch, s.jobs[0].epoch);
-        // A neighbour joins at t = 40 ms: 60 ms of base wall remain, now
-        // at 2× -> new end at 40 + 120 = 160 ms.
-        s.gpus[0].resident.push(1);
-        s.jobs.push(JobRun::new(&s.jobs[0].spec.clone(), 1));
-        let at = Time::ZERO + Duration::from_millis(40);
-        s.reprice(&[0], at);
-        let newest = s
-            .heap
-            .iter()
-            .find(|e| e.job == 0 && e.epoch == s.jobs[0].epoch)
-            .expect("re-priced event exists");
-        assert_eq!(newest.at.as_nanos(), Duration::from_millis(160).as_nanos());
-    }
-
-    /// Empty replay traces are rejected: `schedule_iter` refuses to
-    /// fabricate zero-time iterations.
-    #[test]
-    fn schedule_iter_rejects_empty_walls() {
-        let mut jobs = vec![JobRun::new(
-            &JobSpec {
-                name: "a".into(),
-                ..JobSpec::default()
-            },
-            0,
-        )];
-        jobs[0].gpus_held = vec![0];
-        let mut s = Session {
-            jobs,
-            gpus: vec![GpuState::new(1 << 30)],
-            ..Session::default()
-        };
-        assert_eq!(s.schedule_iter(0, Time::ZERO), Err(EmptyWalls));
-        assert!(s.heap.peek().is_none());
-    }
 }

@@ -147,7 +147,7 @@ impl Cluster {
             // cache, which routes heuristic-class policies to their own
             // synthetic path.
             let validated = match j.admission_source {
-                AdmissionSource::Predicted { .. } => self.predicted_replay(&j.spec, budget),
+                Some(AdmissionSource::Predicted { .. }) => self.predicted_replay(&j.spec, budget),
                 _ => self
                     .cache
                     .validated_replay(&j.spec, j.spec.batch, budget, shrunk),
