@@ -469,9 +469,14 @@ impl Cluster {
                 if let Phase::Preempted { since } = j.phase {
                     j.resume_latency += now.saturating_since(since);
                 }
-                let reduced = j.cur_batch < j.spec.batch.max(1);
-                if let Some(e) = &mut j.elastic {
-                    e.resume(now, reduced);
+                // A job resuming below its requested batch reopens its
+                // reduced-batch window.
+                if let Some(e) = j
+                    .elastic
+                    .as_mut()
+                    .filter(|_| j.cur_batch < j.spec.batch.max(1))
+                {
+                    e.reduced_since = Some(now);
                 }
                 s.emit(job, now, JobEventKind::Resumed);
                 s.start_iter(job, now);

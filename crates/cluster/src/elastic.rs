@@ -31,7 +31,7 @@ pub(crate) struct ElasticState {
     /// When the current reduced-batch period started; `None` while the
     /// job runs at its full batch (or is checkpointed out — the clock
     /// pauses during preemption).
-    reduced_since: Option<Time>,
+    pub(crate) reduced_since: Option<Time>,
     /// Accumulated wall time spent training below the requested batch.
     pub(crate) reduced_time: Duration,
     /// Mid-run shrinks performed to absorb an inference burst.
@@ -50,14 +50,6 @@ impl ElasticState {
     pub(crate) fn close_reduced(&mut self, now: Time) {
         if let Some(since) = self.reduced_since.take() {
             self.reduced_time += now.saturating_since(since);
-        }
-    }
-
-    /// Reopens the reduced-batch window when a checkpointed job resumes
-    /// below its requested batch.
-    pub(crate) fn resume(&mut self, now: Time, reduced: bool) {
-        if reduced {
-            self.reduced_since = Some(now);
         }
     }
 }

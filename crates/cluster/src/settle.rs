@@ -39,8 +39,14 @@ impl Cluster {
         // generation so the next settle re-places honestly. Skipped
         // entirely (flag check only) for training-only sessions.
         if s.has_inference {
-            let resident: Vec<usize> = s.resident_jobs.iter().copied().collect();
-            for job in resident {
+            let jobs = &s.jobs;
+            let serving: Vec<usize> = s
+                .resident_jobs
+                .iter()
+                .copied()
+                .filter(|&j| jobs[j].serving.is_some())
+                .collect();
+            for job in serving {
                 self.try_serve(s, job, now);
             }
         }
