@@ -471,12 +471,10 @@ impl Cluster {
                 }
                 // A job resuming below its requested batch reopens its
                 // reduced-batch window.
-                if let Some(e) = j
-                    .elastic
-                    .as_mut()
-                    .filter(|_| j.cur_batch < j.spec.batch.max(1))
-                {
-                    e.reduced_since = Some(now);
+                if j.cur_batch < j.spec.batch.max(1) {
+                    if let Some(e) = &mut j.elastic {
+                        e.reduced_since = Some(now);
+                    }
                 }
                 s.emit(job, now, JobEventKind::Resumed);
                 s.start_iter(job, now);
