@@ -96,7 +96,7 @@
 use capuchin_sim::{Duration, Time};
 
 use crate::admission::AdmissionCache;
-use crate::config::ClusterConfig;
+pub use crate::config::{ClusterConfig, ClusterConfigBuilder, ConfigError};
 use crate::inference::{request_arrived, schedule_next_request};
 use crate::job::JobSpec;
 use crate::predict::FootprintPredictor;
@@ -693,7 +693,6 @@ mod tests {
 
     use super::*;
     use crate::admission::{AdmissionMode, ReplayIter};
-    use crate::config::ConfigError;
     use crate::job::{synthetic_jobs, JobPolicy};
     use crate::session::{EmptyWalls, GpuState};
     use crate::stats::JobState;

@@ -84,7 +84,7 @@
 
 pub mod admission;
 pub mod cluster;
-pub mod config;
+mod config;
 mod elastic;
 pub mod headroom;
 mod inference;
@@ -102,8 +102,9 @@ pub use crate::admission::{
     min_feasible_budget, Admission, AdmissionMode, AdmissionSource, JobNeeds, ReplayIter,
     ReplayTransfer,
 };
-pub use crate::cluster::{CancelError, Cluster, JobId};
-pub use crate::config::{ClusterConfig, ClusterConfigBuilder, ConfigError};
+pub use crate::cluster::{
+    CancelError, Cluster, ClusterConfig, ClusterConfigBuilder, ConfigError, JobId,
+};
 pub use crate::headroom::GpuPool;
 pub use crate::job::{
     load_jobs, parse_memory, synthetic_jobs, synthetic_mixed_jobs, JobFileError, JobPolicy,
