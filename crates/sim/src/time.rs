@@ -172,6 +172,12 @@ impl Duration {
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
     }
+
+    /// Adds another duration, saturating at the largest representable
+    /// duration instead of overflowing.
+    pub fn saturating_add(self, other: Duration) -> Duration {
+        Duration(self.0.saturating_add(other.0))
+    }
 }
 
 impl Add<Duration> for Time {
