@@ -36,7 +36,8 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use capuchin::{measure_footprint, shrink_feasibility, FootprintEstimate, PlannerConfig};
+pub use capuchin::min_feasible_budget;
+use capuchin::{measure_footprint, FootprintEstimate, PlannerConfig};
 use capuchin_executor::{Engine, EngineConfig, ExecError};
 use capuchin_graph::Graph;
 use capuchin_models::ModelKind;
@@ -201,31 +202,6 @@ impl std::fmt::Display for AdmissionSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Finds the smallest budget (to within ~1/64 of the transient footprint,
-/// floor 1 MiB) for which the Policy Maker produces a feasible plan, by
-/// bisecting [`shrink_feasibility`] between the weight floor and the
-/// ideal peak.
-pub fn min_feasible_budget(est: &FootprintEstimate, planner: &PlannerConfig) -> u64 {
-    let transient = est.transient_bytes();
-    if transient == 0 {
-        return est.ideal_peak;
-    }
-    let granularity = (transient / 64).max(1 << 20);
-    // Invariant: `hi` is always feasible (the peak trivially is); `lo`
-    // (the weight floor) never is.
-    let mut lo = est.weight_bytes;
-    let mut hi = est.ideal_peak;
-    while hi.saturating_sub(lo) > granularity {
-        let mid = lo + (hi - lo) / 2;
-        if shrink_feasibility(est, mid, planner).feasible {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
 }
 
 /// The admission controller: mode plus the planner configuration used for
@@ -760,7 +736,7 @@ impl AdmissionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capuchin::measure_footprint;
+    use capuchin::{measure_footprint, shrink_feasibility};
     use capuchin_models::ModelKind;
 
     #[test]

@@ -246,9 +246,6 @@ impl Cluster {
     pub fn submit(&mut self, spec: &JobSpec) -> JobId {
         let s = &mut self.session;
         let id = s.jobs.len();
-        if spec.is_inference() {
-            s.has_inference = true;
-        }
         let mut run = JobRun::new(spec, id);
         if self.cfg.elastic && spec.elastic && run.serving.is_none() {
             run.elastic = Some(Default::default());

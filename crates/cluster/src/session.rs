@@ -509,6 +509,9 @@ pub(crate) struct Session {
     /// Jobs currently holding reservations — the preemption victim scan
     /// iterates this instead of every job ever submitted.
     pub(crate) resident_jobs: BTreeSet<usize>,
+    /// The resident serving jobs, a subset of `resident_jobs` kept at
+    /// grant and release so the serving loop visits only them.
+    pub(crate) serving_jobs: BTreeSet<usize>,
     /// Jobs with a preemption checkpoint copy in flight (the old
     /// `any(|j| j.preempting)` scan, maintained incrementally).
     pub(crate) preempting: usize,
@@ -522,10 +525,6 @@ pub(crate) struct Session {
     /// [`crate::Cluster::advance_to`] deadline, whichever is later.
     /// Online submissions arriving "in the past" are clamped to it.
     pub(crate) now: Time,
-    /// Any inference job was ever submitted this session. While false,
-    /// the settle pass skips the inference serving loop entirely — a
-    /// training-only run executes the exact pre-inference code path.
-    pub(crate) has_inference: bool,
     /// Completed burst-absorption cycles: a training job shrank to
     /// absorb an inference burst and later re-grew (cluster-wide).
     pub(crate) burst_cycles: u64,
@@ -696,6 +695,9 @@ impl Session {
         j.gpus_held = gang.to_vec();
         j.reserved = bytes;
         self.resident_jobs.insert(job);
+        if j.serving.is_some() {
+            self.serving_jobs.insert(job);
+        }
         for &gpu in gang {
             self.reserve_on(gpu, bytes, now);
             let g = &mut self.gpus[gpu];
@@ -743,6 +745,7 @@ impl Session {
         let held = std::mem::take(&mut j.gpus_held);
         let reserved = j.reserved;
         self.resident_jobs.remove(&job);
+        self.serving_jobs.remove(&job);
         for &gpu in &held {
             self.release_on(gpu, reserved, now);
             remove_resident(&mut self.gpus[gpu], job);

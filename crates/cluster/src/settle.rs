@@ -36,19 +36,13 @@ impl Cluster {
         // the settled snapshot — request arrivals touch neither queue
         // nor pool, so the settled-skip above would otherwise starve
         // them, and any KV reservation made here moves the pool
-        // generation so the next settle re-places honestly. Skipped
-        // entirely (flag check only) for training-only sessions.
-        if s.has_inference {
-            let jobs = &s.jobs;
-            let serving: Vec<usize> = s
-                .resident_jobs
-                .iter()
-                .copied()
-                .filter(|&j| jobs[j].serving.is_some())
-                .collect();
-            for job in serving {
-                self.try_serve(s, job, now);
-            }
+        // generation so the next settle re-places honestly. Visits the
+        // serving residents in job order; a round that aborts its own
+        // job drops it from the set, so the walk resumes past it.
+        let mut next = s.serving_jobs.first().copied();
+        while let Some(job) = next {
+            self.try_serve(s, job, now);
+            next = s.serving_jobs.range(job + 1..).next().copied();
         }
         // Nothing placeable: consider evicting a low-priority resident
         // through a host checkpoint. One preemption in flight at a time

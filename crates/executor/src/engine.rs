@@ -16,8 +16,8 @@
 //! and only then consults the policy.
 
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
-use std::collections::{BTreeMap, HashMap};
 
 use capuchin_graph::{
     kernel_cost, pick_conv_algo, Graph, Op, OpId, OpKind, Phase, ValueId, ValueKind,
@@ -196,7 +196,10 @@ pub struct Engine<'g> {
 
     remaining_uses: Vec<u32>,
     pending: BinaryHeap<Reverse<PendingFree>>,
-    free_epoch: HashMap<TensorKey, u64>,
+    /// Per-tensor free epochs, indexed by key (absent = 0): a deferred
+    /// free carries the epoch it was scheduled at and is void once the
+    /// tensor's epoch moves on.
+    free_epoch: Vec<u64>,
     pinned: Vec<TensorKey>,
 
     access_log: Vec<TensorAccess>,
@@ -208,7 +211,11 @@ pub struct Engine<'g> {
     swapin_waits: BTreeMap<TensorKey, Duration>,
     iter_transfers: Vec<Vec<TransferRecord>>,
     in_alloc_failure: bool,
-    current_op: String,
+    /// The op being issued, and the one whose allocation set this
+    /// iteration's peak (named in [`IterStats::peak_op`] at iteration
+    /// end).
+    current_op: Option<OpId>,
+    peak_op: Option<OpId>,
     op_seq: u64,
     /// Dead tensors whose buffers the interpreter still references (eager
     /// mode): unevictable and unreclaimable until the iteration ends.
@@ -290,7 +297,7 @@ impl<'g> Engine<'g> {
             policy: Some(policy),
             remaining_uses: Vec::new(),
             pending: BinaryHeap::new(),
-            free_epoch: HashMap::new(),
+            free_epoch: Vec::new(),
             pinned: Vec::new(),
             access_log: Vec::new(),
             access_stall: Vec::new(),
@@ -300,7 +307,8 @@ impl<'g> Engine<'g> {
             swapin_waits: BTreeMap::new(),
             iter_transfers: Vec::new(),
             in_alloc_failure: false,
-            current_op: String::new(),
+            current_op: None,
+            peak_op: None,
             op_seq: 0,
             interp_held: std::collections::HashSet::new(),
             alloc_top_hints,
@@ -659,6 +667,7 @@ impl<'g> Engine<'g> {
             peak_mem: self.dev.in_use(),
             ..IterStats::default()
         };
+        self.peak_op = None;
         // Transfers submitted outside an iteration (weight rematerialization
         // on restore) belong to no iteration's stats; drop them so each
         // entry of `iter_transfers` matches its iteration's swap bytes.
@@ -697,6 +706,9 @@ impl<'g> Engine<'g> {
         self.gpu.sync_compute_until(ended_at);
         self.drain_matured(ended_at);
         self.iter_stats.ended_at = ended_at;
+        if let Some(op) = self.peak_op {
+            self.iter_stats.peak_op = self.graph.op(op).name.clone();
+        }
 
         self.with_policy(|policy, eng| policy.on_iteration_end(eng, iter));
 
@@ -742,12 +754,13 @@ impl<'g> Engine<'g> {
     // ------------------------------------------------------------------
 
     fn exec_op(&mut self, op_id: OpId) -> Result<(), ExecError> {
-        let op = self.graph.op(op_id).clone();
+        let graph = self.graph;
+        let op = graph.op(op_id);
         if matches!(op.kind, OpKind::Weight) && self.weights_done {
             return Ok(()); // weights persist across iterations
         }
 
-        self.current_op = op.name.clone();
+        self.current_op = Some(op_id);
         self.pinned.clear();
         self.pinned
             .extend(op.inputs.iter().map(|&v| Self::key_of(v)));
@@ -769,7 +782,7 @@ impl<'g> Engine<'g> {
             op.kind,
             OpKind::Conv2d(_) | OpKind::Conv2dBackpropInput(_) | OpKind::Conv2dBackpropFilter(_)
         ) {
-            let algo = pick_conv_algo(self.graph, self.graph.op(op_id), self.dev.largest_free());
+            let algo = pick_conv_algo(graph, op, self.dev.largest_free());
             if algo.workspace_bytes == 0 {
                 speed = algo.speed_factor;
             } else if let Ok(ws) = self.dev.alloc(algo.workspace_bytes) {
@@ -780,7 +793,7 @@ impl<'g> Engine<'g> {
         }
 
         // 3. Allocate outputs, possibly reusing a dying gradient buffer.
-        let inplace_src = self.inplace_candidate(&op);
+        let inplace_src = self.inplace_candidate(op);
         let mut out_allocs = Vec::with_capacity(op.outputs.len());
         for (i, &out) in op.outputs.iter().enumerate() {
             let size = self.graph.value(out).size_bytes();
@@ -806,7 +819,7 @@ impl<'g> Engine<'g> {
         }
 
         // 4. Schedule the kernel.
-        let cost = kernel_cost(self.graph, self.graph.op(op_id));
+        let cost = kernel_cost(graph, op);
         let mut dur = cost.duration_on(&self.spec).mul_f64(speed);
         // Tracking instrumentation sits on the launch critical path: each
         // recorded access charges its bookkeeping to the kernel.
@@ -841,7 +854,7 @@ impl<'g> Engine<'g> {
             .collect();
         for (i, (&out, alloc)) in op.outputs.iter().zip(out_allocs).enumerate() {
             let signature = sig::op(op.kind.tag(), op.kind.attr_hash(), i, &input_sigs);
-            let t = self.materialize(out, &op, signature);
+            let t = self.materialize(out, op, signature);
             t.device = Some(alloc);
             t.status = TensorStatus::In;
             t.ready_at = enq.end;
@@ -868,7 +881,7 @@ impl<'g> Engine<'g> {
         if let Some(ws) = workspace {
             self.schedule(enq.end, Deferred::FreeWorkspace(ws));
         }
-        self.decrement_uses(&op, enq.end);
+        self.decrement_uses(op, enq.end);
         Ok(())
     }
 
@@ -1060,10 +1073,10 @@ impl<'g> Engine<'g> {
                 });
             }
         }
-        let producer = self.graph.value(v).producer;
-        let op = self.graph.op(producer).clone();
+        let graph = self.graph;
+        let op = graph.op(graph.value(v).producer);
         self.in_recompute += 1;
-        let result = self.recompute_inner(v, &op);
+        let result = self.recompute_inner(v, op);
         self.in_recompute -= 1;
         result
     }
@@ -1224,7 +1237,7 @@ impl<'g> Engine<'g> {
             .filter(|Reverse(p)| match &p.action {
                 Deferred::FreeHost(_) | Deferred::FreeTensorHost { .. } => false,
                 Deferred::FreeTensor { key, epoch, .. } => {
-                    self.free_epoch.get(key).copied().unwrap_or(0) == *epoch
+                    self.epoch_of(*key) == *epoch
                         && self
                             .reg
                             .get(*key)
@@ -1246,10 +1259,17 @@ impl<'g> Engine<'g> {
         }));
     }
 
+    fn epoch_of(&self, key: TensorKey) -> u64 {
+        self.free_epoch.get(key.0 as usize).copied().unwrap_or(0)
+    }
+
     fn bump_epoch(&mut self, key: TensorKey) -> u64 {
-        let e = self.free_epoch.entry(key).or_insert(0);
-        *e += 1;
-        *e
+        let slot = key.0 as usize;
+        if slot >= self.free_epoch.len() {
+            self.free_epoch.resize(slot + 1, 0);
+        }
+        self.free_epoch[slot] += 1;
+        self.free_epoch[slot]
     }
 
     fn drain_matured(&mut self, now: Time) {
@@ -1266,7 +1286,7 @@ impl<'g> Engine<'g> {
                     self.host.free(buf);
                 }
                 Deferred::FreeTensorHost { key, epoch } => {
-                    if self.free_epoch.get(&key).copied().unwrap_or(0) != epoch {
+                    if self.epoch_of(key) != epoch {
                         continue; // prefetch was cancelled: keep the copy
                     }
                     if let Some(t) = self.reg.get_mut(key) {
@@ -1281,7 +1301,7 @@ impl<'g> Engine<'g> {
                     epoch,
                     also_host,
                 } => {
-                    if self.free_epoch.get(&key).copied().unwrap_or(0) != epoch {
+                    if self.epoch_of(key) != epoch {
                         continue; // revived or superseded
                     }
                     let Some(t) = self.reg.get_mut(key) else {
@@ -1624,7 +1644,7 @@ impl<'g> Engine<'g> {
     fn note_peak(&mut self) {
         if self.dev.in_use() > self.iter_stats.peak_mem {
             self.iter_stats.peak_mem = self.dev.in_use();
-            self.iter_stats.peak_op = self.current_op.clone();
+            self.peak_op = self.current_op;
         }
     }
 }

@@ -178,40 +178,50 @@ pub fn kernel_cost(g: &Graph, op: &Op) -> KernelCost {
 /// the op's IO footprint, so large-batch convolutions need large scratch —
 /// exactly the memory/speed trade the paper discusses for cuDNN (§2.1).
 pub fn conv_algorithms(g: &Graph, op: &Op) -> Vec<ConvAlgo> {
+    conv_menu(g, op).collect()
+}
+
+/// [`conv_algorithms`] without the `Vec`: the executor consults the menu
+/// for every convolution it launches.
+fn conv_menu(g: &Graph, op: &Op) -> impl Iterator<Item = ConvAlgo> {
     let attrs = match op.kind {
-        OpKind::Conv2d(a) | OpKind::Conv2dBackpropInput(a) | OpKind::Conv2dBackpropFilter(a) => a,
-        _ => return vec![ConvAlgo::baseline()],
+        OpKind::Conv2d(a) | OpKind::Conv2dBackpropInput(a) | OpKind::Conv2dBackpropFilter(a) => {
+            Some(a)
+        }
+        _ => None,
     };
-    let io = io_bytes(g, op) as u64;
-    let out = output_bytes(g, op) as u64;
-    let mut algos = vec![ConvAlgo::baseline()];
-    algos.push(ConvAlgo {
-        name: "gemm_precomp",
-        workspace_bytes: out / 4,
-        speed_factor: 0.90,
-    });
-    if attrs.kernel >= 3 {
-        algos.push(ConvAlgo {
+    let (io, out) = match attrs {
+        Some(_) => (io_bytes(g, op) as u64, output_bytes(g, op) as u64),
+        None => (0, 0),
+    };
+    [
+        Some(ConvAlgo::baseline()),
+        attrs.map(|_| ConvAlgo {
+            name: "gemm_precomp",
+            workspace_bytes: out / 4,
+            speed_factor: 0.90,
+        }),
+        attrs.filter(|a| a.kernel >= 3).map(|_| ConvAlgo {
             name: "fft_tiling",
             workspace_bytes: io / 2,
             speed_factor: 0.80,
-        });
-    }
-    if attrs.kernel == 3 && attrs.stride == 1 {
-        algos.push(ConvAlgo {
-            name: "winograd",
-            workspace_bytes: io / 4,
-            speed_factor: 0.70,
-        });
-    }
-    algos.retain(|a| a.workspace_bytes <= CONV_WORKSPACE_LIMIT);
-    algos
+        }),
+        attrs
+            .filter(|a| a.kernel == 3 && a.stride == 1)
+            .map(|_| ConvAlgo {
+                name: "winograd",
+                workspace_bytes: io / 4,
+                speed_factor: 0.70,
+            }),
+    ]
+    .into_iter()
+    .flatten()
+    .filter(|a| a.workspace_bytes <= CONV_WORKSPACE_LIMIT)
 }
 
 /// Picks the fastest algorithm whose workspace fits in `free_bytes`.
 pub fn pick_conv_algo(g: &Graph, op: &Op, free_bytes: u64) -> ConvAlgo {
-    conv_algorithms(g, op)
-        .into_iter()
+    conv_menu(g, op)
         .filter(|a| a.workspace_bytes <= free_bytes)
         .min_by(|a, b| {
             a.speed_factor

@@ -253,9 +253,10 @@ impl Gpu {
             CopyDir::DeviceToHost => (TraceKind::SwapOut, StreamKind::CopyOut),
             CopyDir::HostToDevice => (TraceKind::SwapIn, StreamKind::CopyIn),
         };
-        let label = req.label.clone();
+        // The label is copied only when a kernel/copy trace wants it.
+        let label = self.trace.is_some().then(|| req.label.clone());
         let tr = self.transfers.submit(req);
-        if let Some(trace) = &mut self.trace {
+        if let (Some(trace), Some(label)) = (&mut self.trace, label) {
             trace.push(TraceEvent {
                 kind,
                 stream: stream_kind,

@@ -7,7 +7,6 @@
 //! multiple iterations \[whose\] underlying memory address could be different"
 //! (§5.2) — here it is derived from the graph value a tensor materializes.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use capuchin_mem::{Allocation, HostAllocId};
@@ -182,6 +181,11 @@ impl Tensor {
 
 /// The set of live tensors, indexed by stable key.
 ///
+/// Keys are dense small integers (the executor derives them from graph
+/// value ids), so the registry is a table indexed by key rather than a
+/// hash map: a lookup is one bounds check, and iteration runs in key
+/// order.
+///
 /// # Examples
 ///
 /// ```
@@ -211,7 +215,8 @@ pub struct TensorRegistry {
     /// model's table then stays well under glibc's 128 KiB mmap
     /// threshold. Freeing a block above it raises the allocator's trim
     /// threshold for good, and every thread arena keeps more memory.
-    tensors: HashMap<TensorKey, Box<Tensor>>,
+    tensors: Vec<Option<Box<Tensor>>>,
+    len: usize,
 }
 
 impl TensorRegistry {
@@ -222,12 +227,16 @@ impl TensorRegistry {
 
     /// Number of registered tensors.
     pub fn len(&self) -> usize {
-        self.tensors.len()
+        self.len
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.tensors.is_empty()
+        self.len == 0
+    }
+
+    fn slot(key: TensorKey) -> usize {
+        usize::try_from(key.0).expect("tensor keys are dense indices")
     }
 
     /// Registers a fresh tensor.
@@ -237,46 +246,56 @@ impl TensorRegistry {
     /// Panics if the key is already registered.
     pub fn insert_new(&mut self, meta: TensorMeta, signature: Signature) -> &mut Tensor {
         let key = meta.key;
-        let prev = self
-            .tensors
-            .insert(key, Box::new(Tensor::new(meta, signature)));
-        assert!(prev.is_none(), "tensor {key} registered twice");
-        self.tensors.get_mut(&key).expect("just inserted")
+        let slot = Self::slot(key);
+        if slot >= self.tensors.len() {
+            self.tensors.resize_with(slot + 1, || None);
+        }
+        let entry = &mut self.tensors[slot];
+        assert!(entry.is_none(), "tensor {key} registered twice");
+        self.len += 1;
+        entry.insert(Box::new(Tensor::new(meta, signature)))
     }
 
     /// Looks up a tensor.
     pub fn get(&self, key: TensorKey) -> Option<&Tensor> {
-        self.tensors.get(&key).map(|t| &**t)
+        self.tensors.get(Self::slot(key))?.as_deref()
     }
 
     /// Looks up a tensor mutably.
     pub fn get_mut(&mut self, key: TensorKey) -> Option<&mut Tensor> {
-        self.tensors.get_mut(&key).map(|t| &mut **t)
+        self.tensors.get_mut(Self::slot(key))?.as_deref_mut()
     }
 
     /// Removes a tensor, returning it.
     pub fn remove(&mut self, key: TensorKey) -> Option<Tensor> {
-        self.tensors.remove(&key).map(|t| *t)
+        let t = self.tensors.get_mut(Self::slot(key))?.take()?;
+        self.len -= 1;
+        Some(*t)
     }
 
-    /// Iterates over all tensors.
+    /// Iterates over all tensors, in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Tensor> {
-        self.tensors.values().map(|t| &**t)
+        self.tensors.iter().filter_map(|t| t.as_deref())
     }
 
-    /// Iterates mutably over all tensors.
+    /// Iterates mutably over all tensors, in key order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
-        self.tensors.values_mut().map(|t| &mut **t)
+        self.tensors.iter_mut().filter_map(|t| t.as_deref_mut())
     }
 
     /// Drops all non-persistent tensors (end of iteration), keeping weights.
     pub fn retain_persistent(&mut self) {
-        self.tensors.retain(|_, t| t.meta.persistent);
+        for entry in &mut self.tensors {
+            if entry.as_ref().is_some_and(|t| !t.meta.persistent) {
+                *entry = None;
+                self.len -= 1;
+            }
+        }
     }
 
     /// Resets per-iteration counters on the surviving tensors.
     pub fn reset_access_counts(&mut self) {
-        for t in self.tensors.values_mut() {
+        for t in self.iter_mut() {
             t.access_count = 0;
             t.last_access = Time::ZERO;
         }
@@ -284,8 +303,7 @@ impl TensorRegistry {
 
     /// Total bytes of tensors currently backed by device memory.
     pub fn device_resident_bytes(&self) -> u64 {
-        self.tensors
-            .values()
+        self.iter()
             .filter(|t| t.device.is_some())
             .map(|t| t.size_bytes())
             .sum()
@@ -336,6 +354,25 @@ mod tests {
         reg.retain_persistent();
         assert_eq!(reg.len(), 1);
         assert!(reg.get(TensorKey(2)).is_some());
+    }
+
+    #[test]
+    fn table_tracks_len_and_iterates_in_key_order() {
+        let mut reg = TensorRegistry::new();
+        for key in [9, 2, 5] {
+            reg.insert_new(meta(key, key == 5), key);
+        }
+        assert_eq!(reg.len(), 3);
+        let keys: Vec<u64> = reg.iter().map(|t| t.key().0).collect();
+        assert_eq!(keys, vec![2, 5, 9]);
+        assert_eq!(reg.remove(TensorKey(9)).map(|t| t.signature), Some(9));
+        assert!(reg.remove(TensorKey(9)).is_none());
+        assert!(reg.get(TensorKey(100)).is_none());
+        reg.retain_persistent();
+        assert_eq!(reg.len(), 1);
+        // A freed key can be registered again.
+        reg.insert_new(meta(2, false), 0);
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]

@@ -23,6 +23,14 @@ cargo test -q -p serde
 echo "==> benchmark builds against the current library (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
 
+echo "==> paper artifacts reproduce (deterministic exhibits rewrite identical JSON)"
+artifacts=(fig8a_swap_breakdown fig8b_recompute_breakdown fig9_perf_graph fig10_perf_eager
+  ablations table2_max_batch table3_eager_max_batch)
+for exhibit in "${artifacts[@]}"; do
+  cargo run --release -q -p capuchin-bench --bin "$exhibit" > /dev/null
+done
+git diff --exit-code -- $(printf 'results/%s.json ' "${artifacts[@]}")
+
 echo "==> smoke: trace_export round-trip (emitted Chrome trace must parse)"
 cargo run --release -q -p capuchin-bench --bin trace_export -- --smoke
 
