@@ -278,11 +278,14 @@ impl Capuchin {
                 return true;
             }
         }
-        let keys: Vec<TensorKey> = engine.access_log().iter().map(|a| a.key).collect();
+        // The access list oldest-first, each tensor once (evicting never
+        // appends to the list).
         let mut evicted_any = false;
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            if !seen.insert(key) || engine.pinned().contains(&key) {
+        let mut seen = vec![false; engine.graph().values().len()];
+        for i in 0..engine.access_log().len() {
+            let key = engine.access_log()[i].key;
+            let first = !std::mem::replace(&mut seen[Engine::value_of(key).0 as usize], true);
+            if !first || engine.pinned().contains(&key) {
                 continue;
             }
             let evicted = self.evict_one(engine, key);

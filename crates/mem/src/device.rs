@@ -148,7 +148,6 @@ pub struct DeviceAllocator {
     chunks: BTreeMap<u64, Chunk>,
     /// Free chunks indexed by `(size, offset)` for best-fit retrieval.
     free_index: BTreeSet<(u64, u64)>,
-    live: BTreeMap<AllocId, u64>,
     next_id: u64,
     stats: DeviceMemStats,
 }
@@ -203,7 +202,6 @@ impl DeviceAllocator {
             boundary,
             chunks,
             free_index,
-            live: BTreeMap::new(),
             next_id: 0,
             stats: DeviceMemStats::default(),
         }
@@ -266,7 +264,7 @@ impl DeviceAllocator {
 
     /// Number of live allocations.
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        (self.stats.allocs - self.stats.frees) as usize
     }
 
     /// Whether a request of `size` bytes would succeed right now.
@@ -354,7 +352,6 @@ impl DeviceAllocator {
             self.free_index.insert((remainder, free_off));
             let offset = used_off;
             let granted = self.chunks[&offset].size;
-            self.live.insert(id, offset);
             self.stats.in_use += granted;
             self.stats.peak_in_use = self.stats.peak_in_use.max(self.stats.in_use);
             self.stats.allocs += 1;
@@ -374,7 +371,6 @@ impl DeviceAllocator {
             );
         }
         let granted = self.chunks[&offset].size;
-        self.live.insert(id, offset);
         self.stats.in_use += granted;
         self.stats.peak_in_use = self.stats.peak_in_use.max(self.stats.in_use);
         self.stats.allocs += 1;
@@ -392,12 +388,13 @@ impl DeviceAllocator {
     /// Returns [`InvalidAllocation`] if the token does not refer to a live
     /// allocation (e.g. double free).
     pub fn free(&mut self, alloc: Allocation) -> Result<(), InvalidAllocation> {
-        let Some(offset) = self.live.remove(&alloc.id) else {
-            return Err(InvalidAllocation { id: alloc.id });
+        // A token is live exactly when the chunk at its offset is in use
+        // under its id: ids are never reused.
+        let offset = alloc.offset;
+        let chunk = match self.chunks.get(&offset) {
+            Some(&chunk) if chunk.state == ChunkState::InUse(alloc.id) => chunk,
+            _ => return Err(InvalidAllocation { id: alloc.id }),
         };
-        debug_assert_eq!(offset, alloc.offset, "allocation table corrupt");
-        let chunk = self.chunks[&offset];
-        debug_assert_eq!(chunk.state, ChunkState::InUse(alloc.id));
         self.stats.in_use -= chunk.size;
         self.stats.frees += 1;
 
@@ -448,6 +445,7 @@ impl DeviceAllocator {
         let mut cursor = 0;
         let mut prev_free = false;
         let mut free_total = 0;
+        let mut live = 0;
         for (&off, chunk) in &self.chunks {
             if off != cursor {
                 return Err(format!("gap or overlap at offset {off}, expected {cursor}"));
@@ -464,10 +462,8 @@ impl DeviceAllocator {
                     free_total += chunk.size;
                     prev_free = true;
                 }
-                ChunkState::InUse(id) => {
-                    if self.live.get(&id) != Some(&off) {
-                        return Err(format!("in-use chunk at {off} missing from live table"));
-                    }
+                ChunkState::InUse(_) => {
+                    live += 1;
                     prev_free = false;
                 }
             }
@@ -483,6 +479,12 @@ impl DeviceAllocator {
                 .count()
         {
             return Err("free index size mismatch".to_owned());
+        }
+        if live != self.live_count() {
+            return Err(format!(
+                "{live} in-use chunks, stats count {} live allocations",
+                self.live_count()
+            ));
         }
         if free_total != self.free_total() {
             return Err(format!(
