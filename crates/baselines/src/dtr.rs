@@ -20,7 +20,7 @@
 //! job without running a validation iteration — the `Heuristic`
 //! admission cost class of `capuchin-cluster`'s policy registry.
 
-use capuchin_executor::{Engine, MemoryPolicy, PolicySnapshot};
+use capuchin_executor::{Engine, MemoryPolicy};
 use capuchin_graph::{kernel_cost, OpId};
 use capuchin_sim::{CopyDir, TransferModel};
 use capuchin_tensor::{TensorKey, TensorStatus};
@@ -40,10 +40,6 @@ use capuchin_tensor::{TensorKey, TensorStatus};
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DtrPolicy;
-
-/// Snapshot marker: DTR keeps no cross-iteration state, so checkpoint/
-/// restore round-trips an empty payload.
-struct DtrSnapshot;
 
 impl DtrPolicy {
     /// Creates the policy.
@@ -123,14 +119,6 @@ impl MemoryPolicy for DtrPolicy {
         }
         any
     }
-
-    fn snapshot(&self) -> Option<PolicySnapshot> {
-        Some(PolicySnapshot::new("dtr", DtrSnapshot))
-    }
-
-    fn restore(&mut self, snapshot: PolicySnapshot) -> bool {
-        snapshot.downcast::<DtrSnapshot>().is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -199,12 +187,5 @@ mod tests {
         assert!(h_dtr(1_000, 100, 20) < h_dtr(1_000, 100, 10));
         // Zero staleness/size must not divide by zero.
         assert!(h_dtr(1, 0, 0) > 0);
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let mut p = DtrPolicy::new();
-        let snap = p.snapshot().expect("DTR supports snapshots");
-        assert!(p.restore(snap));
     }
 }

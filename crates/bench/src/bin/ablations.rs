@@ -118,11 +118,11 @@ fn main() {
             ("naive + feedback (paper)", false, true),
             ("lane-aware (ours)", true, true),
         ] {
-            let cfg = CapuchinConfig {
-                lane_aware: lane,
+            let mut cfg = CapuchinConfig {
                 feedback: fa,
                 ..CapuchinConfig::swap_only()
             };
+            cfg.planner.lane_aware = lane;
             let (t, s) = run(
                 ModelKind::InceptionV3,
                 300,
@@ -179,11 +179,11 @@ fn main() {
     if is("feedback") {
         println!("## feedback step size (InceptionV3 @ 260, naive triggers)");
         for step in [0.01f64, 0.05, 0.20] {
-            let cfg = CapuchinConfig {
-                lane_aware: false,
+            let mut cfg = CapuchinConfig {
                 lead_step: step,
                 ..CapuchinConfig::swap_only()
             };
+            cfg.planner.lane_aware = false;
             let (t, s) = run(
                 ModelKind::InceptionV3,
                 260,

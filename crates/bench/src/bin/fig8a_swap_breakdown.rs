@@ -37,17 +37,14 @@ fn main() {
         let model = ModelKind::InceptionV3.build(batch);
         let vdnn = run(batch, Box::new(Vdnn::from_graph(&model.graph)), 3);
         // The paper's ATP+DS: naive per-tensor in-trigger estimate, no FA.
+        let mut naive_fa = CapuchinConfig::swap_only();
+        naive_fa.planner.lane_aware = false;
         let naive = CapuchinConfig {
             feedback: false,
-            lane_aware: false,
-            ..CapuchinConfig::swap_only()
+            ..naive_fa
         };
         let atp_ds = run(batch, Box::new(Capuchin::with_config(naive)), 10);
         // + feedback adjustment (the paper's full swap mechanism).
-        let naive_fa = CapuchinConfig {
-            lane_aware: false,
-            ..CapuchinConfig::swap_only()
-        };
         let atp_ds_fa = run(batch, Box::new(Capuchin::with_config(naive_fa)), 16);
         // Our refinement: lane-aware placement (default configuration).
         let lane = run(

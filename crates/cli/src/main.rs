@@ -175,11 +175,11 @@ fn parse_model(s: &str) -> Result<ModelKind, CliError> {
     })
 }
 
-fn make_policy(name: &str, graph: &Graph, spec: &DeviceSpec) -> Box<dyn MemoryPolicy> {
+fn make_policy(name: &str, graph: &Graph) -> Box<dyn MemoryPolicy> {
     // Registry policies (tf-ori, capuchin, dtr, delta, …) dispatch through
     // their descriptor — the CLI adds no policy knowledge of its own.
     if let Ok(p) = name.parse::<JobPolicy>() {
-        return p.descriptor().build(spec.memory_bytes, spec);
+        return p.descriptor().build();
     }
     // Single-run baselines live outside the cluster registry: they have
     // no admission story, so job files reject them, but `run`/`max-batch`
@@ -329,7 +329,7 @@ fn cmd_run(args: &Args) {
     let batch = args.batch();
     let model = kind.build(batch);
     let cfg = args.config();
-    let policy = make_policy(args.policy_name(), &model.graph, &cfg.spec);
+    let policy = make_policy(args.policy_name(), &model.graph);
     println!(
         "{} @ batch {batch} under {} ({:.1} GiB device{})",
         kind.name(),
@@ -390,7 +390,7 @@ fn cmd_max_batch(args: &Args) {
     };
     let fits = |b: usize| -> bool {
         let model = kind.build(b);
-        let policy = make_policy(&policy_name, &model.graph, &cfg.spec);
+        let policy = make_policy(&policy_name, &model.graph);
         Engine::new(&model.graph, cfg.clone(), policy)
             .run(probe_iters)
             .is_ok()

@@ -394,7 +394,7 @@ impl Admission {
         } else {
             policy
         };
-        let policy = run_as.descriptor().build(budget, spec);
+        let policy = run_as.descriptor().build();
         let mut eng = Engine::new(graph, cfg, policy);
         self.runs.set(self.runs.get() + 1);
         let stats = eng.run(iters)?;

@@ -50,9 +50,8 @@
 //!   released, and it re-enters the queue to resume later from the saved
 //!   iteration (restore pays the host-to-device copy). Gangs are
 //!   preempted whole or not at all — evicting one replica would stall the
-//!   lockstep barrier forever. The interrupted iteration is discarded and
-//!   redone on resume — the same boundary semantics as
-//!   [`capuchin_executor::Engine::snapshot`].
+//!   lockstep barrier forever. The interrupted iteration is discarded: a
+//!   resumed job replays its recorded iterations from the saved cursor.
 //! * With [`ClusterConfig::elastic`] on, a waiting [`JobSpec::elastic`]
 //!   job that fits nowhere at its full batch is admitted at a *reduced*
 //!   batch: the cluster bisects the halving ladder
@@ -64,9 +63,8 @@
 //!   (the final iteration carries a partial batch when the ladder does
 //!   not divide evenly). At every completed-iteration boundary a reduced
 //!   job checks whether freed headroom lets it re-grow toward the full
-//!   batch; growing re-plans the engine at the new batch
-//!   ([`capuchin_executor::Engine::restore_rebatched`]'s semantics), so
-//!   the cluster charges the same device-to-host checkpoint plus
+//!   batch; a re-grown job is re-validated at the new batch, and the
+//!   cluster charges the same device-to-host checkpoint plus
 //!   host-to-device restore copies preemption models.
 //! * Footprint measurement happens off the critical path (think: a
 //!   profiling sidecar), so admission consumes no simulated time.

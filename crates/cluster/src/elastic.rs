@@ -239,10 +239,9 @@ impl Cluster {
     }
 
     /// An elastic job's completed-iteration boundary — the only instants
-    /// a batch change is sound (the engine snapshot cursor is at a
-    /// boundary): a burst-absorption shrink decided by the serving loop
-    /// applies first, else a reduced job checks for freed headroom to
-    /// re-grow. Returns whether a batch change is now in flight (the
+    /// a batch change is sound (the replay cursor is at a boundary): a
+    /// burst-absorption shrink decided by the serving loop applies first,
+    /// else a reduced job checks for freed headroom to re-grow. Returns whether a batch change is now in flight (the
     /// caller must not schedule the next iteration).
     pub(crate) fn elastic_boundary(&mut self, s: &mut Session, job: usize, now: Time) -> bool {
         let Some(e) = &s.jobs[job].elastic else {
@@ -320,10 +319,8 @@ impl Cluster {
     /// its batch — then upgrade a predicted provenance to the stronger
     /// measured guarantee, charge the batch change like a preemption
     /// round-trip (device-to-host of the old reservation, then
-    /// host-to-device of the new, on every replica — re-planning at a new
-    /// batch goes through the same snapshot/restore path preemption uses,
-    /// [`capuchin_executor::Engine::restore_rebatched`]), and claim the
-    /// new reservation immediately: no placement decided during the copy
+    /// host-to-device of the new, on every replica), and claim the new
+    /// reservation immediately: no placement decided during the copy
     /// window can over-commit a grown batch, and a shrink's freed bytes
     /// are claimable by the blocked burst in this very settle pass. The
     /// new replay takes effect at [`EventKind::Regrow`]. Returns whether

@@ -40,9 +40,8 @@
 //!   high-effective-priority arrival that fits nowhere
 //!   checkpoint-preempts the lowest-priority resident job (a gang is
 //!   evicted whole or not at all) — its replay state is copied to the
-//!   host, its reservations are released, and it resumes later from the
-//!   saved iteration (the cluster-level mirror of
-//!   [`capuchin_executor::Engine::snapshot`]). With
+//!   host, its reservations are released, and it resumes later by
+//!   replaying its recorded iterations from the saved cursor. With
 //!   [`ClusterConfig::elastic`] on, a job marked [`JobSpec::elastic`] that
 //!   fits nowhere at its full batch is admitted at a reduced batch
 //!   (bisected down a halving ladder, floored at

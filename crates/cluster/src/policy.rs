@@ -14,7 +14,6 @@
 use capuchin::Capuchin;
 use capuchin_baselines::DtrPolicy;
 use capuchin_executor::{MemoryPolicy, TfOri};
-use capuchin_sim::DeviceSpec;
 
 use crate::job::JobPolicy;
 
@@ -55,11 +54,6 @@ pub struct PolicyDescriptor {
     pub accepted: &'static [&'static str],
     /// Whether admission must run a measured validation.
     pub cost_class: CostClass,
-    /// Whether the executor-level policy supports engine snapshots
-    /// ([`MemoryPolicy::snapshot`] returns `Some`). Cluster-level
-    /// checkpoint-preemption replays at the iteration boundary and does
-    /// not require it; single-engine checkpointing does.
-    pub snapshot: bool,
     /// The policy a *shrunk* admission actually executes under: running
     /// below the ideal peak needs a plan, so plan-less policies delegate.
     pub shrunk_runs_as: JobPolicy,
@@ -72,16 +66,14 @@ pub struct PolicyDescriptor {
     /// [`CostClass::Measured`] rows — heuristic admission is already
     /// validation-free, so there is nothing for a prediction to save.
     pub predictable: bool,
-    builder: fn(u64, &DeviceSpec) -> Box<dyn MemoryPolicy>,
+    builder: fn() -> Box<dyn MemoryPolicy>,
 }
 
 impl PolicyDescriptor {
-    /// Instantiates the executor-level policy for a run at `budget`
-    /// bytes on `spec`. Current policies configure themselves from the
-    /// engine, so the arguments are forwarded for uniformity and future
-    /// budget-aware policies.
-    pub fn build(&self, budget: u64, spec: &DeviceSpec) -> Box<dyn MemoryPolicy> {
-        (self.builder)(budget, spec)
+    /// Instantiates the executor-level policy; every policy configures
+    /// itself from the engine it runs in.
+    pub fn build(&self) -> Box<dyn MemoryPolicy> {
+        (self.builder)()
     }
 }
 
@@ -93,27 +85,10 @@ impl std::fmt::Debug for PolicyDescriptor {
             .field("wire", &self.wire)
             .field("accepted", &self.accepted)
             .field("cost_class", &self.cost_class)
-            .field("snapshot", &self.snapshot)
             .field("shrunk_runs_as", &self.shrunk_runs_as)
             .field("probe", &self.probe)
             .finish_non_exhaustive()
     }
-}
-
-fn build_tf_ori(_budget: u64, _spec: &DeviceSpec) -> Box<dyn MemoryPolicy> {
-    Box::new(TfOri::new())
-}
-
-fn build_capuchin(_budget: u64, _spec: &DeviceSpec) -> Box<dyn MemoryPolicy> {
-    Box::new(Capuchin::new())
-}
-
-fn build_dtr(_budget: u64, _spec: &DeviceSpec) -> Box<dyn MemoryPolicy> {
-    Box::new(DtrPolicy::new())
-}
-
-fn build_delta(_budget: u64, _spec: &DeviceSpec) -> Box<dyn MemoryPolicy> {
-    Box::new(Capuchin::delta())
 }
 
 /// One row per [`JobPolicy`] variant, canonical-name order.
@@ -124,11 +99,10 @@ pub const REGISTRY: &[PolicyDescriptor] = &[
         wire: "TfOri",
         accepted: &["tf-ori"],
         cost_class: CostClass::Measured,
-        snapshot: false,
         shrunk_runs_as: JobPolicy::Capuchin,
         probe: JobPolicy::TfOri,
         predictable: true,
-        builder: build_tf_ori,
+        builder: || Box::new(TfOri::new()),
     },
     PolicyDescriptor {
         policy: JobPolicy::Capuchin,
@@ -136,11 +110,10 @@ pub const REGISTRY: &[PolicyDescriptor] = &[
         wire: "Capuchin",
         accepted: &["capuchin"],
         cost_class: CostClass::Measured,
-        snapshot: true,
         shrunk_runs_as: JobPolicy::Capuchin,
         probe: JobPolicy::TfOri,
         predictable: true,
-        builder: build_capuchin,
+        builder: || Box::new(Capuchin::new()),
     },
     PolicyDescriptor {
         policy: JobPolicy::Dtr,
@@ -148,11 +121,10 @@ pub const REGISTRY: &[PolicyDescriptor] = &[
         wire: "Dtr",
         accepted: &["dtr"],
         cost_class: CostClass::Heuristic,
-        snapshot: true,
         shrunk_runs_as: JobPolicy::Dtr,
         probe: JobPolicy::TfOri,
         predictable: false,
-        builder: build_dtr,
+        builder: || Box::new(DtrPolicy::new()),
     },
     PolicyDescriptor {
         policy: JobPolicy::Delta,
@@ -160,11 +132,10 @@ pub const REGISTRY: &[PolicyDescriptor] = &[
         wire: "Delta",
         accepted: &["delta"],
         cost_class: CostClass::Measured,
-        snapshot: true,
         shrunk_runs_as: JobPolicy::Delta,
         probe: JobPolicy::TfOri,
         predictable: true,
-        builder: build_delta,
+        builder: || Box::new(Capuchin::delta()),
     },
 ];
 
@@ -242,15 +213,8 @@ mod tests {
 
     #[test]
     fn descriptor_snapshot_flag_matches_executor_policy() {
-        let spec = DeviceSpec::p100_pcie3();
         for d in REGISTRY {
-            let built = d.build(1 << 30, &spec);
-            assert_eq!(
-                built.snapshot().is_some(),
-                d.snapshot,
-                "descriptor {} misdeclares snapshot support",
-                d.name
-            );
+            let built = d.build();
             assert_eq!(built.name(), d.name, "built policy reports its name");
         }
     }

@@ -1,7 +1,5 @@
-//! Checkpoint-preemption invariants (the cluster-level counterpart of
-//! `crates/core/tests/snapshot_resume.rs`, which proves the engine-level
-//! half: a resumed run replays the exact per-iteration signature of an
-//! uninterrupted one):
+//! Checkpoint-preemption invariants (a resumed job replays its recorded
+//! iterations from the saved cursor):
 //!
 //! 1. **No over-commit** — with preemption enabled, the sum of
 //!    reservations on a GPU never exceeds its capacity at any simulated

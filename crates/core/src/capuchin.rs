@@ -15,7 +15,7 @@
 //!   (late-prefetch waits, residual passive evictions) refines the plan
 //!   between iterations.
 
-use capuchin_executor::{AccessEvent, Engine, MemoryPolicy, PolicySnapshot};
+use capuchin_executor::{AccessEvent, Engine, MemoryPolicy};
 use capuchin_sim::Duration;
 use capuchin_tensor::TensorKey;
 
@@ -23,20 +23,26 @@ use crate::measure::MeasuredProfile;
 use crate::plan::{EvictMethod, Plan};
 use crate::planner::{install_in_trigger, make_plan, schedule_in_triggers, PlannerConfig};
 
+/// The iteration that runs measured execution: iteration 0 materializes
+/// the weights, so the first steady-state iteration is measured.
+const MEASURE_ITERATION: u64 = 1;
+
+/// Keep a collective-recompute intermediate only while at least this
+/// fraction of device memory is free.
+const KEEP_RESERVE: f64 = 0.05;
+
 /// Capuchin configuration; the switches correspond to the paper's
 /// breakdown experiments (Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapuchinConfig {
-    /// Allow swap evictions (ATP swap path).
-    pub enable_swap: bool,
-    /// Allow recomputation evictions.
-    pub enable_recompute: bool,
+    /// Policy Maker switches: swap and recompute evictions, lane-aware
+    /// in-trigger placement, DELTA-style joint ordering. With
+    /// [`PlannerConfig::delta_interleave`] the policy reports itself as
+    /// `delta`: same measured/guided lifecycle, different Policy Maker
+    /// ordering.
+    pub planner: PlannerConfig,
     /// Feedback-driven in-trigger adjustment (FA in Fig. 8a).
     pub feedback: bool,
-    /// Lane-aware in-trigger placement (our refinement over the paper's
-    /// naive per-tensor estimate; disable to reproduce the paper's FA
-    /// breakdown).
-    pub lane_aware: bool,
     /// Ablation: couple planned evictions to computation (synchronize the
     /// compute stream on each copy-out, vDNN-style) instead of the
     /// decoupled delay-sync-at-OOM of §5.3.
@@ -46,37 +52,16 @@ pub struct CapuchinConfig {
     /// Fraction of the swap time by which a late prefetch is moved
     /// earlier per feedback round (the paper uses 5%).
     pub lead_step: f64,
-    /// Keep a collective-recompute intermediate only if at least this
-    /// fraction of device memory is free.
-    pub keep_reserve: f64,
-    /// Planner knobs.
-    pub peak_threshold: f64,
-    /// Headroom multiplier on the measured required saving.
-    pub savings_margin: f64,
-    /// Which iteration to measure (after weights have materialized).
-    pub measure_iteration: u64,
-    /// DELTA-style joint swap/recompute ordering
-    /// ([`PlannerConfig::delta_interleave`]). The policy then reports
-    /// itself as `delta`: same measured/guided lifecycle, different
-    /// Policy Maker ordering.
-    pub delta_interleave: bool,
 }
 
 impl Default for CapuchinConfig {
     fn default() -> CapuchinConfig {
         CapuchinConfig {
-            enable_swap: true,
-            enable_recompute: true,
+            planner: PlannerConfig::default(),
             feedback: true,
-            lane_aware: true,
             coupled_swap: false,
             collective: true,
             lead_step: 0.05,
-            keep_reserve: 0.05,
-            peak_threshold: 0.80,
-            savings_margin: 1.05,
-            measure_iteration: 1,
-            delta_interleave: false,
         }
     }
 }
@@ -84,18 +69,18 @@ impl Default for CapuchinConfig {
 impl CapuchinConfig {
     /// Swap-only configuration (Fig. 8a's "ATP+DS" variants).
     pub fn swap_only() -> CapuchinConfig {
-        CapuchinConfig {
+        CapuchinConfig::with_planner(PlannerConfig {
             enable_recompute: false,
-            ..CapuchinConfig::default()
-        }
+            ..PlannerConfig::default()
+        })
     }
 
     /// Recompute-only configuration (Fig. 8b's "ATP" variants).
     pub fn recompute_only() -> CapuchinConfig {
-        CapuchinConfig {
+        CapuchinConfig::with_planner(PlannerConfig {
             enable_swap: false,
-            ..CapuchinConfig::default()
-        }
+            ..PlannerConfig::default()
+        })
     }
 
     /// DELTA-style configuration (arXiv:2203.15980): identical lifecycle,
@@ -103,20 +88,16 @@ impl CapuchinConfig {
     /// priced overhead per byte instead of taking zero-overhead swaps
     /// first.
     pub fn delta() -> CapuchinConfig {
-        CapuchinConfig {
+        CapuchinConfig::with_planner(PlannerConfig {
             delta_interleave: true,
-            ..CapuchinConfig::default()
-        }
+            ..PlannerConfig::default()
+        })
     }
 
-    fn planner(&self) -> PlannerConfig {
-        PlannerConfig {
-            enable_swap: self.enable_swap,
-            lane_aware: self.lane_aware,
-            enable_recompute: self.enable_recompute,
-            peak_threshold: self.peak_threshold,
-            savings_margin: self.savings_margin,
-            delta_interleave: self.delta_interleave,
+    fn with_planner(planner: PlannerConfig) -> CapuchinConfig {
+        CapuchinConfig {
+            planner,
+            ..CapuchinConfig::default()
         }
     }
 }
@@ -160,45 +141,16 @@ pub struct Capuchin {
     extra_saving: u64,
     /// Bounded number of re-planning rounds.
     replans: u32,
-    /// Iterations executed so far (policy stability diagnostics).
-    planned_at_iter: Option<u64>,
     /// Residual passive-eviction bytes observed under the current plan.
     last_residual: Option<u64>,
-    /// Previous plan, for reverting when a refinement makes things worse.
-    prev_plan: Option<(Plan, u64)>,
     /// Set when refinement has converged (or been reverted); no more
     /// re-planning.
     refinement_done: bool,
     /// Wall time of the measured (passive) iteration — the bar any plan
     /// must beat.
-    measured_wall: Option<capuchin_sim::Duration>,
-    /// Best guided iteration so far: (wall, plan, extra_saving).
-    best: Option<(capuchin_sim::Duration, Plan, u64)>,
-}
-
-/// A resumable checkpoint of the Capuchin policy, produced by
-/// [`MemoryPolicy::snapshot`] and carried inside an
-/// [`capuchin_executor::EngineSnapshot`].
-///
-/// It holds the guided-execution [`Plan`], the [`MeasuredProfile`] (the
-/// tensor-access track the plan was derived from), and the feedback /
-/// refinement cursor, so a preempted job resumes guided execution exactly
-/// where it stopped — no re-measuring, no re-planning.
-#[derive(Debug, Clone)]
-pub struct CapuchinSnapshot {
-    state: Capuchin,
-}
-
-impl CapuchinSnapshot {
-    /// The plan the resumed policy will execute under.
-    pub fn plan(&self) -> &Plan {
-        &self.state.plan
-    }
-
-    /// The measured profile (TAT) backing the plan.
-    pub fn profile(&self) -> &MeasuredProfile {
-        &self.state.profile
-    }
+    measured_wall: Option<Duration>,
+    /// Best guided iteration of the refinement rounds: (wall, plan).
+    best: Option<(Duration, Plan)>,
 }
 
 impl Capuchin {
@@ -217,7 +169,7 @@ impl Capuchin {
     /// `capuchin` — the two produce different plans and must never share
     /// a validation-cache entry.
     fn policy_name(&self) -> &'static str {
-        if self.cfg.delta_interleave {
+        if self.cfg.planner.delta_interleave {
             "delta"
         } else {
             "capuchin"
@@ -228,17 +180,7 @@ impl Capuchin {
     pub fn with_config(cfg: CapuchinConfig) -> Capuchin {
         Capuchin {
             cfg,
-            mode: None,
-            profile: MeasuredProfile::default(),
-            plan: Plan::default(),
-            extra_saving: 0,
-            replans: 0,
-            planned_at_iter: None,
-            last_residual: None,
-            prev_plan: None,
-            refinement_done: false,
-            measured_wall: None,
-            best: None,
+            ..Capuchin::default()
         }
     }
 
@@ -366,36 +308,10 @@ impl MemoryPolicy for Capuchin {
         Some(self)
     }
 
-    fn snapshot(&self) -> Option<PolicySnapshot> {
-        Some(PolicySnapshot::new(
-            self.policy_name(),
-            CapuchinSnapshot {
-                state: self.clone(),
-            },
-        ))
-    }
-
-    fn restore(&mut self, snapshot: PolicySnapshot) -> bool {
-        match snapshot.downcast::<CapuchinSnapshot>() {
-            Ok(snap) => {
-                *self = snap.state;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     fn on_iteration_start(&mut self, _engine: &mut Engine<'_>, iter: u64) {
-        // A policy that has never measured but starts past the measure
-        // iteration was restored across a batch change
-        // (`Engine::restore_rebatched` drops the old-batch plan): measure
-        // at the first iteration it sees, or guided mode would run an
-        // empty plan forever.
-        let measure_now = iter == self.cfg.measure_iteration
-            || (iter > self.cfg.measure_iteration && self.planned_at_iter.is_none());
-        self.mode = Some(if iter < self.cfg.measure_iteration {
+        self.mode = Some(if iter < MEASURE_ITERATION {
             Mode::Passive
-        } else if measure_now {
+        } else if iter == MEASURE_ITERATION {
             self.profile.clear();
             Mode::Measuring
         } else {
@@ -440,12 +356,11 @@ impl MemoryPolicy for Capuchin {
         self.passive_evict(engine, need)
     }
 
-    fn on_iteration_end(&mut self, engine: &mut Engine<'_>, iter: u64) {
+    fn on_iteration_end(&mut self, engine: &mut Engine<'_>, _iter: u64) {
         match self.mode {
             Some(Mode::Measuring) => {
-                self.profile.finalize(engine, self.cfg.peak_threshold);
-                self.plan = make_plan(&self.profile, engine.spec(), &self.cfg.planner());
-                self.planned_at_iter = Some(iter);
+                self.profile.finalize(engine);
+                self.plan = make_plan(&self.profile, engine.spec(), &self.cfg.planner);
                 self.measured_wall = Some(engine.iter_stats().wall());
             }
             Some(Mode::Guided) => {
@@ -473,18 +388,13 @@ impl MemoryPolicy for Capuchin {
                 // saves too little; demand more and re-plan — hill-climbing
                 // with revert, so an over-correction that makes the
                 // residual *grow* is rolled back instead of compounding.
-                let residual = engine.iter_stats().passive_evict_bytes;
-                let wall = engine.iter_stats().wall();
-                // Track the best plan seen so far by wall time.
-                if self
-                    .best
-                    .as_ref()
-                    .map(|(w, _, _)| wall < *w)
-                    .unwrap_or(true)
-                {
-                    self.best = Some((wall, self.plan.clone(), self.extra_saving));
-                }
-                if !self.refinement_done && self.planned_at_iter.is_some() {
+                if !self.refinement_done {
+                    let residual = engine.iter_stats().passive_evict_bytes;
+                    let wall = engine.iter_stats().wall();
+                    // Track the best plan seen so far by wall time.
+                    if self.best.as_ref().map(|(w, _)| wall < *w).unwrap_or(true) {
+                        self.best = Some((wall, self.plan.clone()));
+                    }
                     let worse_residual =
                         matches!(self.last_residual, Some(prev) if residual >= prev);
                     if residual == 0 || self.replans >= 8 || worse_residual {
@@ -492,16 +402,14 @@ impl MemoryPolicy for Capuchin {
                         // best plan observed. If even that never beat plain
                         // passive mode, run passive (empty plan).
                         self.refinement_done = true;
-                        if let Some((best_wall, plan, extra)) = self.best.take() {
+                        if let Some((best_wall, plan)) = self.best.take() {
                             if self.measured_wall.map(|m| best_wall < m).unwrap_or(true) {
                                 self.plan = plan;
-                                self.extra_saving = extra;
                             } else {
                                 self.plan = Plan::default();
                             }
                         }
                     } else {
-                        self.prev_plan = Some((self.plan.clone(), self.extra_saving));
                         self.last_residual = Some(residual);
                         // Clamped step: a huge residual (fragmentation
                         // thrash) must not blow the target up in one jump.
@@ -511,7 +419,7 @@ impl MemoryPolicy for Capuchin {
                         let mut profile = self.profile.clone();
                         profile.required_saving += self.extra_saving;
                         let lead = std::mem::take(&mut self.plan.lead);
-                        self.plan = make_plan(&profile, engine.spec(), &self.cfg.planner());
+                        self.plan = make_plan(&profile, engine.spec(), &self.cfg.planner);
                         self.plan.lead = lead;
                         schedule_in_triggers(&mut self.plan, &self.profile);
                     }
@@ -532,7 +440,7 @@ impl MemoryPolicy for Capuchin {
         }
         // Keep only while memory is comfortable (paper §5.3: "T2 will be
         // still kept if the memory is enough; otherwise released").
-        let reserve = (engine.spec().memory_bytes as f64 * self.cfg.keep_reserve) as u64;
+        let reserve = (engine.spec().memory_bytes as f64 * KEEP_RESERVE) as u64;
         engine.device().free_total() >= reserve
     }
 }

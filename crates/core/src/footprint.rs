@@ -18,7 +18,7 @@ use capuchin_sim::{DeviceSpec, Duration};
 use crate::capuchin::Capuchin;
 use crate::measure::MeasuredProfile;
 use crate::plan::Plan;
-use crate::planner::{make_plan, saving_curve, scaled_saving, PlannerConfig};
+use crate::planner::{make_plan, saving_curve, scaled_saving, PlannerConfig, SAVINGS_MARGIN};
 
 /// Memory capacity used for the unconstrained measuring run: large enough
 /// that no workload in this repository ever pages.
@@ -236,7 +236,6 @@ pub fn shrink_feasibility(est: &FootprintEstimate, budget: u64, cfg: &PlannerCon
 pub(crate) struct FeasibilityCurve {
     ideal_peak: u64,
     weight_bytes: u64,
-    savings_margin: f64,
     /// Cumulative planned saving after each confirmation, non-decreasing.
     curve: Vec<u64>,
 }
@@ -247,7 +246,6 @@ impl FeasibilityCurve {
         FeasibilityCurve {
             ideal_peak: est.ideal_peak,
             weight_bytes: est.weight_bytes,
-            savings_margin: cfg.savings_margin,
             curve: saving_curve(&est.profile, &est.spec, cfg),
         }
     }
@@ -262,7 +260,7 @@ impl FeasibilityCurve {
         if budget <= self.weight_bytes {
             return false;
         }
-        let target = scaled_saving(required, self.savings_margin);
+        let target = scaled_saving(required, SAVINGS_MARGIN);
         if target <= 0 {
             return false; // the planner returns an empty plan
         }

@@ -38,7 +38,7 @@ mod measure;
 mod plan;
 mod planner;
 
-pub use crate::capuchin::{Capuchin, CapuchinConfig, CapuchinSnapshot};
+pub use crate::capuchin::{Capuchin, CapuchinConfig};
 pub use crate::footprint::{
     bisect_batch, elastic_batches, measure_footprint, measure_forward_footprint,
     min_feasible_budget, shrink_feasibility, FootprintEstimate, ShrinkPlan,

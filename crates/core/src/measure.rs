@@ -15,6 +15,9 @@ use capuchin_sim::{Duration, Time};
 use capuchin_tensor::{AccessKind, TensorKey};
 use serde::{Deserialize, Serialize};
 
+/// Fraction of the observed peak that defines the peak-memory window.
+const PEAK_THRESHOLD: f64 = 0.80;
+
 /// One access in the measured sequence, with stall-corrected timestamps.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredAccess {
@@ -95,7 +98,7 @@ impl MeasuredProfile {
     /// Finalizes the profile at the end of the measured iteration:
     /// snapshots tensor facts from the registry and computes the peak
     /// window.
-    pub fn finalize(&mut self, engine: &Engine<'_>, peak_threshold: f64) {
+    pub fn finalize(&mut self, engine: &Engine<'_>) {
         // Tensor facts, including producing-op durations recovered from
         // the produce accesses (output end − input start of the same op).
         let mut produce_dur: HashMap<TensorKey, Duration> = HashMap::new();
@@ -174,7 +177,7 @@ impl MeasuredProfile {
                 0
             });
         self.peak_mem = self.seq.iter().map(|a| a.mem_in_use).max().unwrap_or(0);
-        let threshold = (self.peak_mem as f64 * peak_threshold) as u64;
+        let threshold = (self.peak_mem as f64 * PEAK_THRESHOLD) as u64;
         let mut w0 = None;
         let mut w1 = Time::ZERO;
         for a in &self.seq {
@@ -194,21 +197,6 @@ impl MeasuredProfile {
             .map(|&i| &self.seq[i])
             .find(|a| a.count == count)
             .map(|a| a.time)
-    }
-
-    /// Consecutive access pairs of a tensor as `(evicted_count,
-    /// back_count, evicted_end_time, back_start_time)`.
-    pub fn pairs_of(&self, key: TensorKey) -> Vec<(u32, u32, Time, Time)> {
-        let Some(ids) = self.accesses_of.get(&key) else {
-            return Vec::new();
-        };
-        ids.windows(2)
-            .map(|w| {
-                let a = &self.seq[w[0]];
-                let b = &self.seq[w[1]];
-                (a.count, b.count, a.end, b.time)
-            })
-            .collect()
     }
 
     /// Whether the interval `(t1, t2)` overlaps the peak-memory window.

@@ -32,6 +32,10 @@ use capuchin_tensor::TensorKey;
 use crate::measure::MeasuredProfile;
 use crate::plan::{EvictMethod, Plan, SwapEntry};
 
+/// Headroom multiplier on the measured required saving: a plan aims 5%
+/// past what passive mode had to evict.
+pub(crate) const SAVINGS_MARGIN: f64 = 1.05;
+
 /// Planner knobs (ablation switches for the Fig. 8 breakdowns).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
@@ -41,10 +45,6 @@ pub struct PlannerConfig {
     pub lane_aware: bool,
     /// Allow recomputation evictions.
     pub enable_recompute: bool,
-    /// Fraction of the observed peak that defines the peak-memory window.
-    pub peak_threshold: f64,
-    /// Multiplier on the measured required saving (headroom).
-    pub savings_margin: f64,
     /// DELTA-style candidate ordering (arXiv:2203.15980): instead of the
     /// paper's swaps-first two-phase selection, every step picks the
     /// globally cheapest remaining candidate by priced overhead per byte
@@ -62,8 +62,6 @@ impl Default for PlannerConfig {
             enable_swap: true,
             lane_aware: true,
             enable_recompute: true,
-            peak_threshold: 0.80,
-            savings_margin: 1.05,
             delta_interleave: false,
         }
     }
@@ -106,7 +104,7 @@ pub fn make_plan(profile: &MeasuredProfile, spec: &DeviceSpec, cfg: &PlannerConf
         lane_aware: cfg.lane_aware,
         ..Plan::default()
     };
-    let needed = scaled_saving(profile.required_saving, cfg.savings_margin);
+    let needed = scaled_saving(profile.required_saving, SAVINGS_MARGIN);
     if needed <= 0 {
         return plan; // nothing to do: no triggers either
     }
@@ -912,6 +910,14 @@ mod tests {
         p
     }
 
+    /// The required saving whose [`SAVINGS_MARGIN`] headroom makes the
+    /// planner's target exactly `target` bytes.
+    fn before_margin(target: u64) -> u64 {
+        let required = (target * 20).div_ceil(21);
+        assert_eq!(scaled_saving(required, SAVINGS_MARGIN), i128::from(target));
+        required
+    }
+
     fn spec() -> DeviceSpec {
         // Round numbers: 10 GB/s both directions, no copy overhead.
         DeviceSpec {
@@ -938,13 +944,9 @@ mod tests {
                 (1, 64 * MB, &[], 100, &[0, 900_000]),
                 (2, 64 * MB, &[], 100, &[1_000, 15_000]),
             ],
-            64 * MB,
+            before_margin(64 * MB),
         );
-        let cfg = PlannerConfig {
-            savings_margin: 1.0,
-            ..PlannerConfig::default()
-        };
-        let plan = make_plan(&p, &spec(), &cfg);
+        let plan = make_plan(&p, &spec(), &PlannerConfig::default());
         assert_eq!(plan.swaps.len(), 1);
         assert!(plan.swaps.contains_key(&TensorKey(1)), "{plan:?}");
         assert_eq!(
@@ -1309,11 +1311,10 @@ mod tests {
                 (3, 8 * MB, &[2], 10, &[2_000, 3_000]), // dead early
                 (4, 512 * MB, &[3], 1_000, &[3_000, 22_000]),
             ],
-            3 * 512 * MB,
+            before_margin(3 * 512 * MB),
         );
         let cfg = PlannerConfig {
             enable_swap: false,
-            savings_margin: 1.0,
             ..PlannerConfig::default()
         };
         let plan = make_plan(&p, &spec(), &cfg);

@@ -31,7 +31,7 @@ use capuchin_tensor::{
 };
 
 use crate::error::ExecError;
-use crate::policy::{AccessEvent, MemoryPolicy, PolicySnapshot};
+use crate::policy::{AccessEvent, MemoryPolicy};
 use crate::stats::{IterStats, RunStats};
 
 /// How the framework schedules ops.
@@ -203,8 +203,6 @@ pub struct Engine<'g> {
     pinned: Vec<TensorKey>,
 
     access_log: Vec<TensorAccess>,
-    access_stall: Vec<Duration>,
-    access_mem: Vec<u64>,
 
     host_clock: Time,
     stall_cum: Duration,
@@ -220,9 +218,9 @@ pub struct Engine<'g> {
     /// Dead tensors whose buffers the interpreter still references (eager
     /// mode): unevictable and unreclaimable until the iteration ends.
     interp_held: std::collections::HashSet<TensorKey>,
-    /// Tensors the policy asked to place at the top of the arena (e.g.
-    /// forward-only intermediates that will sit unreclaimable in eager
-    /// mode), keeping the main pool coalescible.
+    /// Tensors placed at the top of the arena: in eager mode, the
+    /// forward-only intermediates that will sit unreclaimable until the
+    /// step ends, kept out of the main pool so it stays coalescible.
     alloc_top_hints: std::collections::HashSet<TensorKey>,
     in_recompute: u32,
     seq: u64,
@@ -230,21 +228,6 @@ pub struct Engine<'g> {
     iter_next: u64,
     weights_done: bool,
     iter_stats: IterStats,
-}
-
-/// A resumable checkpoint of a training run, taken between iterations.
-///
-/// Only the iteration cursor and the policy's state need saving: at an
-/// iteration boundary every non-persistent tensor is gone (the engine
-/// sweeps them), and the weights are re-materialized from the host-side
-/// checkpoint on [`Engine::restore`]. This is what a preempting cluster
-/// scheduler snapshots before releasing a job's GPU reservation.
-#[derive(Debug)]
-pub struct EngineSnapshot {
-    /// Next iteration index to execute on resume.
-    pub next_iteration: u64,
-    /// Policy state, when the policy is stateful ([`MemoryPolicy::snapshot`]).
-    pub policy: Option<PolicySnapshot>,
 }
 
 impl std::fmt::Debug for dyn MemoryPolicy + '_ {
@@ -300,8 +283,6 @@ impl<'g> Engine<'g> {
             free_epoch: Vec::new(),
             pinned: Vec::new(),
             access_log: Vec::new(),
-            access_stall: Vec::new(),
-            access_mem: Vec::new(),
             host_clock: Time::ZERO,
             stall_cum: Duration::ZERO,
             swapin_waits: BTreeMap::new(),
@@ -335,11 +316,6 @@ impl<'g> Engine<'g> {
         &self.spec
     }
 
-    /// Execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Current GPU-timeline time (compute stream head).
     pub fn now(&self) -> Time {
         self.gpu.compute().busy_until()
@@ -350,37 +326,14 @@ impl<'g> Engine<'g> {
         &self.dev
     }
 
-    /// The host staging pool (read-only).
-    pub fn host(&self) -> &HostPool {
-        &self.host
-    }
-
     /// The live tensor registry.
     pub fn registry(&self) -> &TensorRegistry {
         &self.reg
     }
 
-    /// Zero-based index of the iteration being (or last) executed.
-    pub fn iteration(&self) -> u64 {
-        self.iter
-    }
-
     /// The current iteration's access log so far.
     pub fn access_log(&self) -> &[TensorAccess] {
         &self.access_log
-    }
-
-    /// Cumulative memory-management stall recorded at each access; used to
-    /// recover ideal access times from a passive-mode measured execution
-    /// (paper §5.2: "subtract this time from tensor access time").
-    pub fn access_stalls(&self) -> &[Duration] {
-        &self.access_stall
-    }
-
-    /// Device bytes in use at each recorded access (for peak-period
-    /// detection).
-    pub fn access_mem(&self) -> &[u64] {
-        &self.access_mem
     }
 
     /// Tensors pinned by the op currently being issued; the policy must
@@ -418,14 +371,6 @@ impl<'g> Engine<'g> {
     /// Takes the recorded timeline trace, if tracing was enabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.gpu.take_trace()
-    }
-
-    /// Asks the engine to place future allocations of `key` at the top of
-    /// the arena (pool segregation against fragmentation). Policies call
-    /// this for tensors they know will sit unreclaimable (e.g. eager-mode
-    /// forward-only intermediates).
-    pub fn hint_top_allocation(&mut self, key: TensorKey) {
-        self.alloc_top_hints.insert(key);
     }
 
     /// Whether the eager interpreter still references this (dead) tensor.
@@ -554,104 +499,6 @@ impl<'g> Engine<'g> {
         Ok(stats)
     }
 
-    /// Captures a resumable checkpoint. Call only at an iteration boundary
-    /// (before the first `run` or after one returns): mid-iteration state
-    /// (in-flight copies, non-persistent tensors) is never part of a
-    /// checkpoint — the interrupted iteration is simply redone on resume.
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            next_iteration: self.iter_next,
-            policy: self.policy.as_ref().and_then(|p| p.snapshot()),
-        }
-    }
-
-    /// Restores a checkpoint into a fresh engine: hands the policy its
-    /// saved state, advances the iteration cursor, and re-materializes the
-    /// weights (their contents live in the host-side checkpoint), so the
-    /// next [`Engine::run`] continues from the saved iteration under the
-    /// saved plan without re-measuring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Oom`] if the weights alone do not fit the
-    /// device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this engine has already executed an iteration — restore
-    /// targets a fresh engine, not a mid-run one.
-    pub fn restore(&mut self, snapshot: EngineSnapshot) -> Result<(), ExecError> {
-        assert_eq!(
-            self.iter_next, 0,
-            "EngineSnapshot must be restored into a fresh engine"
-        );
-        if let Some(ps) = snapshot.policy {
-            if let Some(policy) = self.policy.as_mut() {
-                // A policy may reject a snapshot that does not describe
-                // this graph (e.g. a checkpoint taken at another batch
-                // size); it then starts fresh and re-plans, which is
-                // correct — just slower for the first iterations.
-                let _replanning = !policy.restore(ps);
-            }
-        }
-        self.restore_cursor(snapshot.next_iteration)
-    }
-
-    /// Restores only the *iteration cursor* from a checkpoint taken at a
-    /// **different batch size**, deliberately discarding the saved policy
-    /// state: the old profile and swap/recompute plan describe tensors of
-    /// the old batch's graph, so replaying them against this graph would
-    /// be nonsense. The policy instead re-measures and re-plans at the new
-    /// shape on the first resumed iterations (paper §4.2's measured
-    /// execution, run once more at the new batch). This is the engine half
-    /// of elastic re-batching: the cluster checkpoints a job at an
-    /// iteration boundary, rebuilds it at a grown (or shrunk) batch, and
-    /// resumes from the saved cursor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Oom`] if the weights alone do not fit the
-    /// device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this engine has already executed an iteration — restore
-    /// targets a fresh engine, not a mid-run one.
-    pub fn restore_rebatched(&mut self, snapshot: EngineSnapshot) -> Result<(), ExecError> {
-        // `snapshot.policy` is intentionally dropped: it belongs to the
-        // old batch's graph.
-        self.restore_cursor(snapshot.next_iteration)
-    }
-
-    /// Shared tail of [`Engine::restore`]/[`Engine::restore_rebatched`]:
-    /// advances the iteration cursor and re-materializes the weights.
-    fn restore_cursor(&mut self, next_iteration: u64) -> Result<(), ExecError> {
-        assert_eq!(
-            self.iter_next, 0,
-            "EngineSnapshot must be restored into a fresh engine"
-        );
-        self.iter_next = next_iteration;
-        self.remaining_uses = self
-            .graph
-            .values()
-            .iter()
-            .map(|v| self.graph.consumers(v.id).len() as u32)
-            .collect();
-        self.materialize_weights()
-    }
-
-    /// Runs every weight-initialization op once, leaving the weights
-    /// compact at the bottom of the arena.
-    fn materialize_weights(&mut self) -> Result<(), ExecError> {
-        for op_id in self.graph.schedule().collect::<Vec<_>>() {
-            if matches!(self.graph.op(op_id).kind, OpKind::Weight) {
-                self.exec_op(op_id)?;
-            }
-        }
-        self.weights_done = true;
-        Ok(())
-    }
-
     fn exec_iteration(&mut self, iter: u64) -> Result<(), ExecError> {
         self.iter = iter;
         let started_at = self.gpu.quiescent_at();
@@ -668,13 +515,11 @@ impl<'g> Engine<'g> {
             ..IterStats::default()
         };
         self.peak_op = None;
-        // Transfers submitted outside an iteration (weight rematerialization
-        // on restore) belong to no iteration's stats; drop them so each
-        // entry of `iter_transfers` matches its iteration's swap bytes.
+        // Transfers left behind by an iteration that failed part-way
+        // belong to no iteration's stats; drop them so each entry of
+        // `iter_transfers` matches its iteration's swap bytes.
         self.gpu.drain_transfers();
         self.access_log.clear();
-        self.access_stall.clear();
-        self.access_mem.clear();
         self.swapin_waits.clear();
         self.reg.reset_access_counts();
         self.remaining_uses = self
@@ -689,15 +534,16 @@ impl<'g> Engine<'g> {
         // Variables are initialized before training begins (TF runs the
         // variable-init graph first): materialize all weights up-front so
         // they sit compactly at the bottom of the arena instead of
-        // fragmenting it mid-iteration. A restored engine does this during
-        // `restore`, so the first resumed iteration is a pure training step.
+        // fragmenting it mid-iteration. They persist afterwards.
+        let graph = self.graph;
+        let is_weight = |op_id: OpId| matches!(graph.op(op_id).kind, OpKind::Weight);
         if !self.weights_done {
-            self.materialize_weights()?;
-        }
-        for op_id in self.graph.schedule().collect::<Vec<_>>() {
-            if matches!(self.graph.op(op_id).kind, OpKind::Weight) {
-                continue; // materialized above, persists afterwards
+            for op_id in graph.schedule().filter(|&o| is_weight(o)) {
+                self.exec_op(op_id)?;
             }
+            self.weights_done = true;
+        }
+        for op_id in graph.schedule().filter(|&o| !is_weight(o)) {
             self.exec_op(op_id)?;
         }
 
@@ -756,10 +602,6 @@ impl<'g> Engine<'g> {
     fn exec_op(&mut self, op_id: OpId) -> Result<(), ExecError> {
         let graph = self.graph;
         let op = graph.op(op_id);
-        if matches!(op.kind, OpKind::Weight) && self.weights_done {
-            return Ok(()); // weights persist across iterations
-        }
-
         self.current_op = Some(op_id);
         self.pinned.clear();
         self.pinned
@@ -1598,8 +1440,6 @@ impl<'g> Engine<'g> {
                 time: start,
                 kind,
             });
-            self.access_stall.push(self.stall_cum);
-            self.access_mem.push(self.dev.in_use());
             self.iter_stats.accesses += 1;
         }
         AccessEvent {

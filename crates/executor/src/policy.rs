@@ -16,53 +16,6 @@ use capuchin_tensor::{AccessKind, TensorKey};
 
 use crate::engine::Engine;
 
-/// An opaque checkpoint of a policy's internal state, captured at an
-/// iteration boundary.
-///
-/// A cluster scheduler that preempts a running job snapshots the policy
-/// together with the engine's iteration cursor
-/// ([`Engine::snapshot`](crate::Engine::snapshot)) so the job can resume
-/// later — on the same or another device — without re-measuring or
-/// re-planning. The payload is policy-defined: Capuchin stores its plan,
-/// measured profile (the tensor-access track), and feedback state.
-pub struct PolicySnapshot {
-    policy: String,
-    state: Box<dyn std::any::Any + Send>,
-}
-
-impl std::fmt::Debug for PolicySnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PolicySnapshot({})", self.policy)
-    }
-}
-
-impl PolicySnapshot {
-    /// Wraps a policy-defined state value.
-    pub fn new<T: std::any::Any + Send>(policy: impl Into<String>, state: T) -> PolicySnapshot {
-        PolicySnapshot {
-            policy: policy.into(),
-            state: Box::new(state),
-        }
-    }
-
-    /// Name of the policy that produced this snapshot.
-    pub fn policy(&self) -> &str {
-        &self.policy
-    }
-
-    /// Recovers the typed state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the snapshot unchanged when `T` is not the stored type.
-    pub fn downcast<T: std::any::Any>(self) -> Result<Box<T>, PolicySnapshot> {
-        let PolicySnapshot { policy, state } = self;
-        state
-            .downcast::<T>()
-            .map_err(|state| PolicySnapshot { policy, state })
-    }
-}
-
 /// One instrumented tensor access, reported to the policy after the owning
 /// kernel has been scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,22 +86,6 @@ pub trait MemoryPolicy {
         target: TensorKey,
     ) -> bool {
         let _ = (engine, key, target);
-        false
-    }
-
-    /// Captures the policy's internal state at an iteration boundary so a
-    /// preempted job can later resume in a fresh engine without repeating
-    /// measured execution. Returns `None` when the policy is stateless
-    /// (the default): restoring nothing is then already correct.
-    fn snapshot(&self) -> Option<PolicySnapshot> {
-        None
-    }
-
-    /// Restores state captured by [`MemoryPolicy::snapshot`]. Returns
-    /// `false` when the snapshot is not recognized (wrong policy or
-    /// payload type); the policy is unchanged in that case.
-    fn restore(&mut self, snapshot: PolicySnapshot) -> bool {
-        let _ = snapshot;
         false
     }
 }

@@ -222,15 +222,15 @@ impl DeviceAllocator {
         self.capacity - self.stats.in_use
     }
 
-    /// Largest contiguous free region, i.e. the largest request that can
-    /// currently succeed.
+    /// Largest contiguous free region [`DeviceAllocator::alloc`] may
+    /// serve, i.e. the largest request that can currently succeed. The
+    /// reserved region is left out: only `alloc_high` draws on it.
     pub fn largest_free(&self) -> u64 {
-        self.free_index.iter().next_back().map_or(0, |&(s, _)| s)
-    }
-
-    /// Location of the largest contiguous free region as `(offset, size)`.
-    pub fn largest_free_region(&self) -> Option<(u64, u64)> {
-        self.free_index.iter().next_back().map(|&(s, o)| (o, s))
+        self.free_index
+            .iter()
+            .rev()
+            .find(|&&(_, o)| o < self.boundary)
+            .map_or(0, |&(s, _)| s)
     }
 
     /// All free regions as `(offset, size)`, largest first.
@@ -622,11 +622,22 @@ mod tests {
 
     #[test]
     fn can_alloc_matches_alloc_outcome() {
-        let mut dev = DeviceAllocator::new(4096);
-        assert!(dev.can_alloc(4096));
-        let _a = dev.alloc(2048).unwrap();
-        assert!(!dev.can_alloc(4096));
-        assert!(dev.can_alloc(2048));
+        let fresh = DeviceAllocator::new(4096);
+        let mut half = DeviceAllocator::new(4096);
+        let _a = half.alloc(2048).unwrap();
+        // The reserved top pool (3 KiB) is the largest free region, but
+        // only `alloc_high` may use it.
+        let reserved = DeviceAllocator::with_reserved(4096, 3072);
+        for (dev, size, fits) in [
+            (&fresh, 4096, true),
+            (&half, 4096, false),
+            (&half, 2048, true),
+            (&reserved, 2048, false),
+            (&reserved, 1024, true),
+        ] {
+            assert_eq!(dev.can_alloc(size), fits, "can_alloc({size})");
+            assert_eq!(dev.clone().alloc(size).is_ok(), fits, "alloc({size})");
+        }
     }
 }
 

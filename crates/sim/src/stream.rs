@@ -66,11 +66,6 @@ impl Event {
         self.time
     }
 
-    /// Whether the event has completed by `now`.
-    pub fn is_complete_at(self, now: Time) -> bool {
-        self.time <= now
-    }
-
     /// Combines two events into one that completes when both have.
     pub fn join(self, other: Event) -> Event {
         Event {

@@ -274,11 +274,6 @@ impl Lane {
         self.busy
     }
 
-    /// Total bytes moved.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes
-    }
-
     /// Number of non-empty transfers served.
     pub fn transfer_count(&self) -> u64 {
         self.transfers

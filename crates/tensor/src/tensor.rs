@@ -300,14 +300,6 @@ impl TensorRegistry {
             t.last_access = Time::ZERO;
         }
     }
-
-    /// Total bytes of tensors currently backed by device memory.
-    pub fn device_resident_bytes(&self) -> u64 {
-        self.iter()
-            .filter(|t| t.device.is_some())
-            .map(|t| t.size_bytes())
-            .sum()
-    }
 }
 
 #[cfg(test)]

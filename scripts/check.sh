@@ -25,7 +25,7 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
 
 echo "==> paper artifacts reproduce (deterministic exhibits rewrite identical JSON)"
 artifacts=(fig8a_swap_breakdown fig8b_recompute_breakdown fig9_perf_graph fig10_perf_eager
-  ablations table2_max_batch table3_eager_max_batch)
+  ablations table2_max_batch table3_eager_max_batch overhead_tracking)
 for exhibit in "${artifacts[@]}"; do
   cargo run --release -q -p capuchin-bench --bin "$exhibit" > /dev/null
 done
