@@ -16,7 +16,7 @@
 //! regressed beyond its bound, or when its committed row is missing.
 
 use capuchin_bench::scenario::{Row, ARTIFACT, GATES, TABLE};
-use capuchin_bench::write_artifact;
+use capuchin_bench::{artifact_json, write_artifact};
 
 fn usage() -> ! {
     let names: Vec<&str> = TABLE.iter().map(|s| s.name).collect();
@@ -104,5 +104,5 @@ fn main() {
         .chain(rows)
         .collect();
     all.sort_by_key(|r| TABLE.iter().position(|s| s.name == r.scenario));
-    write_artifact("BENCH_cluster", &all);
+    write_artifact("BENCH_cluster", &artifact_json(&all));
 }

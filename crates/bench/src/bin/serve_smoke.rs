@@ -14,7 +14,7 @@
 //! --admission tf-ori --elastic on` so the locally computed batch
 //! baseline matches.
 
-use capuchin_bench::{cluster_job as job, write_artifact};
+use capuchin_bench::{artifact_json, cluster_job as job, write_artifact};
 use capuchin_cluster::{AdmissionMode, Cluster, ClusterConfig, JobSpec, STATS_SCHEMA_VERSION};
 use capuchin_models::ModelKind;
 use capuchin_serve::client::{request, Client};
@@ -265,6 +265,6 @@ fn main() {
         summary.stats_bytes,
     );
     if connect.is_none() {
-        write_artifact("serve_smoke", &summary);
+        write_artifact("serve_smoke", &artifact_json(&summary));
     }
 }

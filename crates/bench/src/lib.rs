@@ -1,26 +1,26 @@
 //! # capuchin-bench — the experiment harness
 //!
 //! Shared machinery for regenerating every table and figure of the paper's
-//! evaluation (§6): system/policy factories, maximum-batch-size search,
-//! throughput measurement, and JSON artifact emission. One binary per
-//! paper exhibit lives in `src/bin/` (see `DESIGN.md` for the experiment
-//! index); the cluster-level exhibits are one [`scenario`] table driven by
-//! the `cluster_bench` binary.
+//! evaluation (§6): system/policy factories, one engine-run helper,
+//! maximum-batch-size search, and JSON artifact emission. The paper's
+//! exhibits are one [`exhibit`] table driven by the `exhibit` binary (see
+//! `DESIGN.md` for the experiment index); the cluster-level exhibits are
+//! one [`scenario`] table driven by the `cluster_bench` binary.
 
 #![warn(missing_docs)]
 
+pub mod exhibit;
 pub mod scenario;
 
-use std::io::Write as _;
 use std::path::Path;
 
 use capuchin::{Capuchin, CapuchinConfig};
 use capuchin_baselines::{CheckpointMode, GradientCheckpointing, TfOri, Vdnn};
 use capuchin_cluster::{JobPolicy, JobSpec};
-use capuchin_executor::{Engine, EngineConfig, ExecMode, IterStats, MemoryPolicy, RunStats};
+use capuchin_executor::{Engine, EngineConfig, ExecMode, IterStats, MemoryPolicy};
 use capuchin_graph::Graph;
-use capuchin_models::{Model, ModelKind};
-use capuchin_sim::DeviceSpec;
+use capuchin_models::ModelKind;
+use capuchin_sim::{DeviceSpec, Duration};
 use serde::Serialize;
 
 /// The systems compared in the paper's evaluation.
@@ -43,14 +43,6 @@ pub enum System {
 }
 
 impl System {
-    /// The four headline systems of Table 2 / Fig. 9.
-    pub const HEADLINE: [System; 4] = [
-        System::TfOri,
-        System::Vdnn,
-        System::OpenAiMemory,
-        System::Capuchin,
-    ];
-
     /// Display name used in tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -95,6 +87,12 @@ impl System {
             _ => 3,
         }
     }
+
+    /// Whether the system can train `kind` at all: vDNN is CNN-specific
+    /// (paper: "not available on BERT").
+    pub fn supports(self, kind: ModelKind) -> bool {
+        !(self == System::Vdnn && kind == ModelKind::BertBase)
+    }
 }
 
 impl std::fmt::Display for System {
@@ -110,6 +108,9 @@ pub struct Bench {
     pub spec: DeviceSpec,
     /// Graph or eager execution.
     pub mode: ExecMode,
+    /// Host-side charge per recorded tensor access (zero except in the
+    /// §6.3.2 overhead exhibit).
+    pub tracking_overhead: Duration,
 }
 
 impl Default for Bench {
@@ -117,6 +118,7 @@ impl Default for Bench {
         Bench {
             spec: DeviceSpec::p100_pcie3(),
             mode: ExecMode::Graph,
+            tracking_overhead: Duration::ZERO,
         }
     }
 }
@@ -130,44 +132,45 @@ impl Bench {
         }
     }
 
-    fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            spec: self.spec.clone(),
-            mode: self.mode,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Runs `system` on `model` for `iters` iterations.
+    /// Runs `policy` on `graph` for `iters` iterations, on the harness
+    /// device or on one with `budget` bytes of memory when given.
     ///
-    /// Returns `None` on OOM.
-    pub fn run(&self, model: &Model, system: System, iters: u64) -> Option<RunStats> {
-        let mut engine = Engine::new(
-            &model.graph,
-            self.engine_config(),
-            system.policy(&model.graph),
-        );
-        match engine.run(iters) {
-            Ok(mut stats) => {
-                stats.batch = model.batch;
-                Some(stats)
-            }
-            Err(_) => None,
-        }
+    /// Returns the final iteration, the steady-state sample every exhibit
+    /// reports, or `None` on OOM.
+    pub fn run(
+        &self,
+        graph: &Graph,
+        policy: Box<dyn MemoryPolicy>,
+        budget: Option<u64>,
+        iters: u64,
+    ) -> Option<IterStats> {
+        let cfg = EngineConfig {
+            spec: match budget {
+                Some(bytes) => self.spec.clone().with_memory(bytes),
+                None => self.spec.clone(),
+            },
+            mode: self.mode,
+            tracking_overhead: self.tracking_overhead,
+            ..EngineConfig::default()
+        };
+        Engine::new(graph, cfg, policy).run(iters).ok()?.iters.pop()
     }
 
     /// Steady-state training speed in samples/second, or `None` on OOM.
     pub fn throughput(&self, kind: ModelKind, batch: usize, system: System) -> Option<f64> {
         let model = kind.build(batch);
-        let stats = self.run(&model, system, system.warm_iters())?;
-        let last = stats.try_last()?;
-        Some(batch as f64 / last.wall().as_secs_f64())
+        let last = self.run(
+            &model.graph,
+            system.policy(&model.graph),
+            None,
+            system.warm_iters(),
+        )?;
+        Some(samples_per_s(batch, &last))
     }
 
     /// Whether `system` completes training at `batch`.
     pub fn fits(&self, kind: ModelKind, batch: usize, system: System) -> bool {
-        let model = kind.build(batch);
-        self.run(&model, system, system.warm_iters()).is_some()
+        self.throughput(kind, batch, system).is_some()
     }
 
     /// Maximum batch size: exponential probe from `seed`, then binary
@@ -254,48 +257,27 @@ pub fn cluster_job(
     }
 }
 
-/// The final iteration of a run: the steady-state sample every exhibit
-/// reports. Exits with a diagnostic (rather than panicking) when a run
-/// recorded no iterations.
-pub fn final_iter(stats: &RunStats) -> &IterStats {
-    stats.try_last().unwrap_or_else(|| {
-        eprintln!("error: run recorded no iterations");
+/// Training speed of one iteration at `batch`, in samples/second.
+pub fn samples_per_s(batch: usize, iter: &IterStats) -> f64 {
+    batch as f64 / iter.wall().as_secs_f64()
+}
+
+/// Renders an artifact as the pretty JSON every `results/*.json` holds.
+pub fn artifact_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serializable artifact")
+}
+
+/// Writes a rendered artifact to `results/<name>.json` so figures can be
+/// regenerated without re-running the sweep. Exits on failure: a check
+/// that diffs `results/` must not pass on an artifact never written.
+pub fn write_artifact(name: &str, json: &str) {
+    let path = Path::new("results").join(format!("{name}.json"));
+    let written = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json));
+    if let Err(e) = written {
+        eprintln!("[artifact] cannot write {}: {e}", path.display());
         std::process::exit(1);
-    })
-}
-
-/// Writes a serializable artifact under `results/` so figures can be
-/// regenerated without re-running the sweep.
-pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
     }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let json = serde_json::to_string_pretty(value).expect("serializable artifact");
-            if f.write_all(json.as_bytes()).is_ok() {
-                eprintln!("[artifact] wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("[artifact] cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Formats one fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}"))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
-/// `--quick` flag: smaller sweeps for smoke runs.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+    eprintln!("[artifact] wrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -154,9 +154,12 @@ impl ServerHandle {
     }
 
     /// Blocks until the daemon stops (a client sent `shutdown`) and
-    /// every one of its threads has exited.
+    /// every one of its threads has exited. A panic on the scheduler
+    /// thread is re-raised here, so the daemon's process fails with it.
     pub fn wait(self) {
-        let _ = self.scheduler.join();
+        if let Err(panic) = self.scheduler.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -532,4 +535,19 @@ fn handle(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wait_reraises_a_scheduler_panic() {
+        let handle = ServerHandle {
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            scheduler: thread::spawn(|| panic!("scheduler failed")),
+        };
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
+        assert!(waited.is_err(), "wait must not swallow the panic");
+    }
 }

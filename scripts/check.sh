@@ -23,13 +23,9 @@ cargo test -q -p serde
 echo "==> benchmark builds against the current library (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
 
-echo "==> paper artifacts reproduce (deterministic exhibits rewrite identical JSON)"
-artifacts=(fig8a_swap_breakdown fig8b_recompute_breakdown fig9_perf_graph fig10_perf_eager
-  ablations table2_max_batch table3_eager_max_batch overhead_tracking)
-for exhibit in "${artifacts[@]}"; do
-  cargo run --release -q -p capuchin-bench --bin "$exhibit" > /dev/null
-done
-git diff --exit-code -- $(printf 'results/%s.json ' "${artifacts[@]}")
+echo "==> paper artifacts reproduce (every exhibit rewrites identical JSON)"
+cargo run --release -q -p capuchin-bench --bin exhibit -- --all > /dev/null
+git diff --exit-code -- results/
 
 echo "==> smoke: trace_export round-trip (emitted Chrome trace must parse)"
 cargo run --release -q -p capuchin-bench --bin trace_export -- --smoke
