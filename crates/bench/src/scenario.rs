@@ -749,7 +749,7 @@ fn check_transfer(runs: &[Run]) {
     };
     for j in &pcie.stats.jobs {
         assert_eq!(
-            charged(&|t| t.job == j.name),
+            charged(&|t| *t.job == *j.name),
             j.comm_delay,
             "{}: charges",
             j.name
@@ -757,7 +757,7 @@ fn check_transfer(runs: &[Run]) {
     }
     for l in &pcie.stats.links {
         assert!(
-            charged(&|t| t.link == l.link) <= l.busy,
+            charged(&|t| *t.link == *l.link) <= l.busy,
             "{}: over-charged",
             l.link
         );

@@ -32,13 +32,13 @@
 //! admission and leaves per-budget validation cost to the admission
 //! scenarios. See `DESIGN.md` §13 for the memoization keys.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 pub use capuchin::min_feasible_budget;
 use capuchin::{measure_footprint, FootprintEstimate, PlannerConfig};
-use capuchin_executor::{Engine, EngineConfig, ExecError};
+use capuchin_executor::{Engine, EngineConfig, ExecError, RunStats};
 use capuchin_graph::Graph;
 use capuchin_models::ModelKind;
 use capuchin_sim::{CopyDir, DeviceSpec, Duration, TransferModel};
@@ -109,14 +109,41 @@ impl std::str::FromStr for AdmissionMode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayTransfer {
     /// Request label from the engine (`prefetch:<t>`, `swapout:<t>`,
-    /// `swapin:<t>`, `evict:<t>`).
-    pub label: String,
+    /// `swapin:<t>`, `evict:<t>`), shared by every replay that moves the
+    /// same tensor the same way.
+    pub label: Arc<str>,
+    /// The label's interned id: within one [`Admission`] controller,
+    /// equal ids mean equal label text. It keys a job's feedback lead.
+    pub label_id: u32,
     /// Payload size.
     pub bytes: u64,
     /// Transfer direction.
     pub dir: CopyDir,
     /// Submission instant relative to the iteration's start.
     pub offset: Duration,
+}
+
+/// Interned transfer labels: each distinct text gets a dense `u32` id
+/// and one shared name, so a replay names a transfer without copying its
+/// text. The cluster's admission controller holds one table, which makes
+/// ids stable across every replay it builds — a re-validated or
+/// re-batched job keeps the feedback leads its labels accumulated.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Labels {
+    ids: HashMap<Arc<str>, u32>,
+}
+
+impl Labels {
+    /// The id and shared name of `text`, made on first sight.
+    pub(crate) fn intern(&mut self, text: &str) -> (u32, Arc<str>) {
+        if let Some((name, &id)) = self.ids.get_key_value(text) {
+            return (id, Arc::clone(name));
+        }
+        let id = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct labels");
+        let name: Arc<str> = Arc::from(text);
+        self.ids.insert(Arc::clone(&name), id);
+        (id, name)
+    }
 }
 
 /// One validated iteration the cluster replays on its clock: how long the
@@ -218,6 +245,9 @@ pub struct Admission {
     /// Validation engine runs performed (successful or not) — the real
     /// admission cost the per-job `admission_validations` stat attributes.
     runs: Cell<u64>,
+    /// Labels of every replay this controller built, validated or
+    /// synthesized.
+    labels: RefCell<Labels>,
 }
 
 impl Admission {
@@ -228,6 +258,7 @@ impl Admission {
             planner: PlannerConfig::default(),
             validate_iters: 4,
             runs: Cell::new(0),
+            labels: RefCell::default(),
         }
     }
 
@@ -276,10 +307,7 @@ impl Admission {
         // Bounded escalation: the transient working set of one forward
         // pass is a handful of activations, far below 64 steps' worth.
         for _ in 0..64 {
-            if self
-                .validate(graph, &est.spec, full, probe, false, 2)
-                .is_ok()
-            {
+            if self.run(graph, &est.spec, full, probe, false, 2).is_ok() {
                 break;
             }
             full = full.saturating_add(step);
@@ -326,7 +354,7 @@ impl Admission {
     /// the ideal peak.
     fn measured_min_budget(&self, graph: &Graph, est: &FootprintEstimate) -> u64 {
         let runs_at = |budget: u64| {
-            self.validate(
+            self.run(
                 graph,
                 &est.spec,
                 budget,
@@ -369,6 +397,9 @@ impl Admission {
     /// makes the budget viable); as-is admissions run the job's own
     /// requested policy. Both constructors come from the registry.
     ///
+    /// The replay's labels are interned in this controller's table, so
+    /// their ids are stable across every run it performs.
+    ///
     /// # Errors
     ///
     /// Returns the engine's [`ExecError`] (typically OOM) when the budget
@@ -385,6 +416,46 @@ impl Admission {
         shrunk: bool,
         iters: u64,
     ) -> Result<Vec<ReplayIter>, ExecError> {
+        let (eng, stats) = self.run(graph, spec, budget, policy, shrunk, iters)?;
+        let mut labels = self.labels.borrow_mut();
+        Ok(stats
+            .iters
+            .iter()
+            .zip(eng.iter_transfers())
+            .map(|(it, recs)| ReplayIter {
+                wall: it.wall(),
+                swap_bytes: it.swap_out_bytes + it.swap_in_bytes,
+                recompute_time: it.recompute_time,
+                evictions: it.passive_evictions,
+                transfers: recs
+                    .iter()
+                    .map(|rec| {
+                        let (label_id, label) = labels.intern(&rec.label);
+                        ReplayTransfer {
+                            label,
+                            label_id,
+                            bytes: rec.bytes,
+                            dir: rec.dir,
+                            offset: rec.queued.saturating_since(it.started_at),
+                        }
+                    })
+                    .collect(),
+            })
+            .collect())
+    }
+
+    /// The engine run behind [`Admission::validate`]. The budget probes
+    /// call it directly: they only ask whether the run completes, so
+    /// they build no replay and intern no labels.
+    fn run<'g>(
+        &self,
+        graph: &'g Graph,
+        spec: &DeviceSpec,
+        budget: u64,
+        policy: JobPolicy,
+        shrunk: bool,
+        iters: u64,
+    ) -> Result<(Engine<'g>, RunStats), ExecError> {
         if iters == 0 {
             return Err(ExecError::NoIterations);
         }
@@ -398,26 +469,7 @@ impl Admission {
         let mut eng = Engine::new(graph, cfg, policy);
         self.runs.set(self.runs.get() + 1);
         let stats = eng.run(iters)?;
-        Ok(stats
-            .iters
-            .iter()
-            .zip(eng.iter_transfers())
-            .map(|(it, recs)| ReplayIter {
-                wall: it.wall(),
-                swap_bytes: it.swap_out_bytes + it.swap_in_bytes,
-                recompute_time: it.recompute_time,
-                evictions: it.passive_evictions,
-                transfers: recs
-                    .iter()
-                    .map(|rec| ReplayTransfer {
-                        label: rec.label.clone(),
-                        bytes: rec.bytes,
-                        dir: rec.dir,
-                        offset: rec.queued.saturating_since(it.started_at),
-                    })
-                    .collect(),
-            })
-            .collect())
+        Ok((eng, stats))
     }
 }
 
@@ -686,6 +738,9 @@ impl AdmissionCache {
             }
         } else {
             let policy_name = spec.policy.name();
+            let mut labels = self.admission.labels.borrow_mut();
+            let (evict_id, evict) = labels.intern(&format!("evict:{policy_name}"));
+            let (refill_id, refill) = labels.intern(&format!("refill:{policy_name}"));
             let transfers = TransferModel::for_device(&self.device);
             let out = transfers.time(deficit, CopyDir::DeviceToHost);
             let back = transfers.time(deficit, CopyDir::HostToDevice);
@@ -696,13 +751,15 @@ impl AdmissionCache {
                 evictions: 1,
                 transfers: vec![
                     ReplayTransfer {
-                        label: format!("evict:{policy_name}"),
+                        label: evict,
+                        label_id: evict_id,
                         bytes: deficit,
                         dir: CopyDir::DeviceToHost,
                         offset: Duration::ZERO,
                     },
                     ReplayTransfer {
-                        label: format!("refill:{policy_name}"),
+                        label: refill,
+                        label_id: refill_id,
                         bytes: deficit,
                         dir: CopyDir::HostToDevice,
                         offset: out,
@@ -735,7 +792,10 @@ impl AdmissionCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::stats::ClusterTransfer;
     use capuchin::{measure_footprint, shrink_feasibility};
     use capuchin_models::ModelKind;
 
@@ -830,5 +890,110 @@ mod tests {
                 2
             )
             .is_err());
+    }
+
+    /// Every `(text, id, shared name)` triple of `replays`' transfers.
+    fn labels_of(replays: &[&Arc<Vec<ReplayIter>>]) -> BTreeMap<Arc<str>, (u32, usize)> {
+        let mut seen = BTreeMap::new();
+        for rec in replays
+            .iter()
+            .flat_map(|r| r.iter())
+            .flat_map(|it| &it.transfers)
+        {
+            let entry = (rec.label_id, Arc::as_ptr(&rec.label) as *const u8 as usize);
+            assert_eq!(
+                *seen.entry(Arc::clone(&rec.label)).or_insert(entry),
+                entry,
+                "{} got two ids or two allocations",
+                rec.label
+            );
+        }
+        seen
+    }
+
+    #[test]
+    fn label_ids_are_stable_across_budgets_and_batches() {
+        let mut cache = AdmissionCache::new(AdmissionMode::Capuchin, DeviceSpec::p100_pcie3(), 4);
+        let spec = JobSpec {
+            model: ModelKind::Vgg16,
+            batch: 320,
+            policy: JobPolicy::Capuchin,
+            iters: 4,
+            ..JobSpec::default()
+        };
+        let mut replay_at = |batch: usize, mid: bool| {
+            let needs = cache.estimate(&spec, batch).1;
+            assert!(needs.min < needs.full, "batch {batch} must oversubscribe");
+            let budget = if mid {
+                needs.min + (needs.full - needs.min) / 2
+            } else {
+                needs.min
+            };
+            cache
+                .validated_replay(&spec, batch, budget, true)
+                .expect("a budget at or above the measured minimum runs")
+        };
+        let tight = replay_at(320, false);
+        let roomy = replay_at(320, true);
+        // An elastic re-batch re-validates at a smaller replica batch.
+        let halved = replay_at(160, false);
+        let all = labels_of(&[&tight, &roomy, &halved]);
+        let ids: BTreeSet<u32> = all.values().map(|&(id, _)| id).collect();
+        assert_eq!(ids.len(), all.len(), "distinct texts share an id");
+        for (a, b) in [(&tight, &roomy), (&tight, &halved)] {
+            let (a, b) = (labels_of(&[a]), labels_of(&[b]));
+            assert!(
+                a.keys().any(|text| b.contains_key(text)),
+                "the two replays must move a common tensor"
+            );
+        }
+    }
+
+    /// The feedback lead a stretched prefetch accumulates survives an
+    /// elastic re-validation: the re-built replay names its tensors by
+    /// the same ids, so the first record of a label after the re-batch
+    /// starts from the lead the label had reached before it.
+    #[test]
+    fn an_elastic_job_keeps_its_lead_across_revalidation() {
+        use crate::job::{synthetic_inference_jobs, synthetic_mixed_jobs};
+        use crate::Cluster;
+        use capuchin_sim::InterconnectSpec;
+
+        let mut jobs = synthetic_mixed_jobs(8, 2, 5, 0.3);
+        for mut inf in synthetic_inference_jobs(2, 5, 0.5, 12.0) {
+            inf.kv_bytes_per_request = 512 << 20;
+            inf.arrival_time += 0.5;
+            jobs.push(inf);
+        }
+        let cfg = crate::ClusterConfig::builder()
+            .gpus(2)
+            .spec(DeviceSpec::p100_pcie3().with_memory(6 << 30))
+            .elastic(true)
+            .slo_aware(true)
+            .interconnect(InterconnectSpec::parse("pcie").expect("pcie spec"))
+            .build()
+            .expect("cluster config");
+        let (_, trace) = Cluster::new(cfg).run_traced(&jobs);
+        let mut kept = 0;
+        for (at, copy) in trace.iter().enumerate() {
+            if !copy.label.ends_with("-restore") {
+                continue;
+            }
+            let job = |t: &&ClusterTransfer| t.job == copy.job;
+            let mut before: BTreeMap<&str, Duration> = BTreeMap::new();
+            for t in trace[..at].iter().filter(job) {
+                before.insert(&t.label, t.lead);
+            }
+            let mut after = BTreeSet::new();
+            for t in trace[at..].iter().filter(job) {
+                if let Some(&lead) = before.get(&*t.label) {
+                    if lead > Duration::ZERO && after.insert(&*t.label) {
+                        assert!(t.lead >= lead, "{}: {} lost its lead", t.job, t.label);
+                        kept += 1;
+                    }
+                }
+            }
+        }
+        assert!(kept > 0, "no lead crossed a re-batch");
     }
 }

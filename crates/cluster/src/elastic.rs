@@ -13,6 +13,9 @@ use capuchin_sim::{CopyDir, Duration, Time};
 use crate::admission::{AdmissionSource, ReplayIter};
 use crate::cluster::Cluster;
 use crate::job::JobSpec;
+use crate::session::copy_label::{
+    REGROW_CHECKPOINT, REGROW_RESTORE, SHRINK_CHECKPOINT, SHRINK_RESTORE,
+};
 use crate::session::{multiset_add, EventKind, Phase, Session};
 use crate::stats::JobEventKind;
 use crate::strategy::{CandidateJob, PlacementStrategy};
@@ -281,7 +284,7 @@ impl Cluster {
         self.cache.charge(&mut s.jobs[job].admission_validations);
         let Some(batch) = chosen else { return false };
         let needs = self.cache.estimate(&s.jobs[job].spec, batch).1;
-        let labels = ["regrow-checkpoint", "regrow-restore"];
+        let labels = [&*REGROW_CHECKPOINT, &*REGROW_RESTORE];
         self.rebatch(s, job, now, batch, free.min(needs.full), needs.full, labels)
     }
 
@@ -303,7 +306,7 @@ impl Cluster {
         if grant < needs.min {
             return false;
         }
-        let labels = ["shrink-checkpoint", "shrink-restore"];
+        let labels = [&*SHRINK_CHECKPOINT, &*SHRINK_RESTORE];
         if !self.rebatch(s, job, now, target, grant, needs.full, labels) {
             return false;
         }
@@ -334,7 +337,7 @@ impl Cluster {
         batch: usize,
         grant: u64,
         full: u64,
-        labels: [&str; 2],
+        labels: [&Arc<str>; 2],
     ) -> bool {
         let shrunk = grant < full;
         let validated = self

@@ -18,6 +18,7 @@ use crate::cluster::Cluster;
 use crate::job::JobSpec;
 use crate::policy::CostClass;
 use crate::predict::{key_of, FootprintSample, PredictedFootprint};
+use crate::session::copy_label::MISPREDICT_CHECKPOINT;
 use crate::session::{EventKind, Phase, Session};
 use crate::stats::{JobEventKind, JobOutcome};
 
@@ -192,7 +193,7 @@ impl Cluster {
             s.resize(job, s.jobs[job].reserved - kv_held, now);
         }
         s.jobs[job].close_reduced(now);
-        let label = "mispredict-checkpoint";
+        let label = &MISPREDICT_CHECKPOINT;
         s.start_checkpoint(&self.cfg.spec, job, now, label, EventKind::Remeasure);
         true
     }

@@ -9,8 +9,8 @@
 //! admissions. DESIGN.md §8 tabulates when each is created.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::sync::{Arc, LazyLock};
 
 use capuchin_sim::{CopyDir, DeviceSpec, Duration, Interconnect, Time};
 
@@ -142,9 +142,12 @@ pub(crate) struct JobRun {
     pub(crate) comm_delay: Duration,
     /// Per-label feedback lead for replayed prefetches (paper §4.4 during
     /// guided replay): a prefetch that came back stretched on the shared
-    /// fabric wants the lane `lead` earlier on later iterations. Ordered
-    /// for deterministic iteration.
-    pub(crate) lead: BTreeMap<String, Duration>,
+    /// fabric wants the lane `lead` earlier on later iterations. Keyed by
+    /// the admission cache's interned label id.
+    pub(crate) lead: HashMap<u32, Duration>,
+    /// The spec name shared by this job's transfer records, made at its
+    /// first record ([`JobRun::shared_name`]).
+    pub(crate) shared_name: Option<Arc<str>>,
     /// Kernel time spent regenerating released tensors, summed over the
     /// replay iterations consumed (integer nanoseconds inside
     /// [`Duration`]; floats only appear at serialization).
@@ -188,6 +191,16 @@ impl JobRun {
             serving,
             ..JobRun::default()
         }
+    }
+
+    /// The job's name as its transfer records share it: one allocation
+    /// per job, made at its first record so fabric-free runs never pay.
+    pub(crate) fn shared_name(&mut self) -> Arc<str> {
+        let spec = &self.spec;
+        Arc::clone(
+            self.shared_name
+                .get_or_insert_with(|| Arc::from(spec.name.as_str())),
+        )
     }
 
     /// Stats/wire name of the admission source; a job whose arrival has
@@ -660,19 +673,19 @@ impl Session {
         want: Time,
         bytes: u64,
         dir: CopyDir,
-        label: &str,
+        label: &Arc<str>,
     ) -> Time {
         let Some(fabric) = self.fabric.as_mut() else {
             return want + dev.copy_time(bytes, dir);
         };
-        let j = &self.jobs[job];
+        let j = &mut self.jobs[job];
         let bytes = bytes * j.gpus_held.len().max(1) as u64;
         let tr = fabric.host_transfer(want, bytes);
         self.transfers.push(ClusterTransfer {
-            job: j.spec.name.clone(),
+            job: j.shared_name(),
             iter: u64::MAX,
-            label: label.to_owned(),
-            link: "host".to_owned(),
+            label: Arc::clone(label),
+            link: Arc::clone(fabric.host_name()),
             dir,
             bytes,
             want,
@@ -787,7 +800,7 @@ impl Session {
         dev: &DeviceSpec,
         job: usize,
         now: Time,
-        label: &str,
+        label: &Arc<str>,
         kind: EventKind,
     ) {
         let reserved = self.jobs[job].reserved;
@@ -918,6 +931,31 @@ fn multiset_sub(set: &mut BTreeMap<u64, usize>, v: u64) {
     }
 }
 
+/// Labels of the cluster's own fabric traffic — gang allreduces and the
+/// checkpoint/restore copies of preemption, elastic re-batching and
+/// mispredict recovery — each made once per process, so a transfer
+/// record clones a pointer instead of copying the text.
+pub(crate) mod copy_label {
+    use super::{Arc, LazyLock};
+
+    macro_rules! shared {
+        ($($name:ident = $text:literal),* $(,)?) => {$(
+            pub(crate) static $name: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from($text));
+        )*};
+    }
+
+    shared! {
+        ALLREDUCE = "allreduce",
+        CHECKPOINT = "checkpoint",
+        RESTORE = "restore",
+        MISPREDICT_CHECKPOINT = "mispredict-checkpoint",
+        REGROW_CHECKPOINT = "regrow-checkpoint",
+        REGROW_RESTORE = "regrow-restore",
+        SHRINK_CHECKPOINT = "shrink-checkpoint",
+        SHRINK_RESTORE = "shrink-restore",
+    }
+}
+
 /// Per-iteration feedback step for replayed swap-ins: a stretched
 /// host-to-device transfer moves its want `lead_step × service time`
 /// earlier on later iterations — the same §4.4 constant the single-GPU
@@ -965,7 +1003,10 @@ pub(crate) fn settle_comm(
     let k = j.gpus_held.len().max(1);
     let iter = j.iters_done;
     let mut charged = Duration::ZERO;
-    if let Some(it) = j.replay.get(j.replay_idx()) {
+    // A handle of its own, so the job stays writable while its replay
+    // is read (the lead and the lazily made shared name).
+    let replay = Arc::clone(&j.replay);
+    if let Some(it) = replay.get(j.replay_idx()) {
         // Replay the recorded timeline inside the just-finished
         // iteration's span: offsets are relative to the (uncontended)
         // iteration start, and contention only stretches the span, so
@@ -973,7 +1014,7 @@ pub(crate) fn settle_comm(
         // the lane is FIFO and the records are in submission order.
         let mut prev_want = j.iter_started;
         for rec in &it.transfers {
-            let lead = j.lead.get(&rec.label).copied().unwrap_or(Duration::ZERO);
+            let lead = j.lead.get(&rec.label_id).copied().unwrap_or(Duration::ZERO);
             let want = (j.iter_started + rec.offset.saturating_sub(lead)).max(prev_want);
             prev_want = want;
             let bytes = rec.bytes * k as u64;
@@ -986,13 +1027,13 @@ pub(crate) fn settle_comm(
                 // means the bytes arrived late; pull its in-trigger
                 // earlier next iteration (§4.4 feedback).
                 let step = tr.end.saturating_since(tr.start).mul_f64(lead_step());
-                *j.lead.entry(rec.label.clone()).or_insert(Duration::ZERO) += step;
+                *j.lead.entry(rec.label_id).or_insert(Duration::ZERO) += step;
             }
             sink.push(ClusterTransfer {
-                job: j.spec.name.clone(),
+                job: j.shared_name(),
                 iter,
-                label: rec.label.clone(),
-                link: "host".to_owned(),
+                label: Arc::clone(&rec.label),
+                link: Arc::clone(fabric.host_name()),
                 dir: rec.dir,
                 bytes,
                 want,
@@ -1007,18 +1048,18 @@ pub(crate) fn settle_comm(
     }
     let mut comm_end = now + charged;
     if k >= 2 && j.grad_bytes > 0 {
-        let route = fabric.allreduce_route(&j.gpus_held);
+        let route = Arc::clone(fabric.allreduce_route(&j.gpus_held));
         let ar = fabric.allreduce(comm_end, &j.gpus_held, j.grad_bytes);
         let per_replica = fabric.spec().allreduce_bytes(j.grad_bytes, k);
-        let bytes = if route == "host" {
+        let bytes = if Arc::ptr_eq(&route, fabric.host_name()) {
             per_replica * k as u64
         } else {
             per_replica
         };
         sink.push(ClusterTransfer {
-            job: j.spec.name.clone(),
+            job: j.shared_name(),
             iter,
-            label: "allreduce".to_owned(),
+            label: Arc::clone(&copy_label::ALLREDUCE),
             link: route,
             dir: CopyDir::DeviceToHost,
             bytes,

@@ -8,6 +8,7 @@ use capuchin_sim::{CopyDir, Time};
 
 use crate::admission::AdmissionSource;
 use crate::cluster::Cluster;
+use crate::session::copy_label::{CHECKPOINT, RESTORE};
 use crate::session::{EventKind, JobRun, Phase, Session};
 use crate::strategy::{aging_permille, effective_priority_permille, PlacementStrategy};
 
@@ -53,7 +54,7 @@ impl Cluster {
                 // The whole gang checkpoints or none: every replica's
                 // reservation is copied out.
                 let dev = &self.cfg.spec;
-                s.start_checkpoint(dev, victim, now, "checkpoint", EventKind::Preempt);
+                s.start_checkpoint(dev, victim, now, &CHECKPOINT, EventKind::Preempt);
             }
         }
     }
@@ -117,7 +118,7 @@ impl Cluster {
                 let grant = s.jobs[job].reserved;
                 s.grant(job, &gang, grant, now);
                 let dir = CopyDir::HostToDevice;
-                let end = s.host_copy(&self.cfg.spec, job, now, grant, dir, "restore");
+                let end = s.host_copy(&self.cfg.spec, job, now, grant, dir, &RESTORE);
                 let j = &mut s.jobs[job];
                 j.checkpoint_overhead += end.saturating_since(now);
                 j.epoch += 1;

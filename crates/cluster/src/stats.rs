@@ -3,6 +3,8 @@
 //! Everything here is `Vec`-based and insertion-ordered so that the same
 //! simulation always renders byte-identical JSON.
 
+use std::sync::Arc;
+
 use capuchin_sim::{CopyDir, Duration, LinkStats, Time};
 use serde::{Deserialize, Serialize};
 
@@ -40,19 +42,24 @@ pub const STATS_SCHEMA_VERSION: u32 = 5;
 /// a shared fabric lane. Returned by [`crate::Cluster::run_traced`] as a
 /// side-channel — it is *not* part of [`ClusterStats`], so the stats JSON
 /// stays byte-identical to fabric-free runs.
+///
+/// The three names are shared, not owned: a job's name is made once per
+/// job, a lane's once per fabric, and a replayed label once per distinct
+/// text in the admission cache, so taking a record allocates nothing.
+/// They serialize exactly as strings do.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterTransfer {
     /// Job the traffic belongs to (spec name).
-    pub job: String,
+    pub job: Arc<str>,
     /// Iteration index the traffic settled at (`u64::MAX` for
     /// checkpoint/restore copies, which happen between iterations).
     pub iter: u64,
     /// What moved: the engine's per-tensor label (`prefetch:<t>`,
     /// `swapout:<t>`, …) for replayed swaps, `allreduce`, `checkpoint`, or
     /// `restore`.
-    pub label: String,
+    pub label: Arc<str>,
     /// Fabric lane that served the transfer (`host` or `peer<d>`).
-    pub link: String,
+    pub link: Arc<str>,
     /// Transfer direction.
     pub dir: CopyDir,
     /// Payload size (all replicas' bytes).

@@ -62,7 +62,7 @@ fn cfg(gpus: usize, ic: Option<InterconnectSpec>) -> ClusterConfig {
 fn per_link(trace: &[ClusterTransfer]) -> HashMap<&str, (u64, u64, Duration)> {
     let mut by: HashMap<&str, (u64, u64, Duration)> = HashMap::new();
     for t in trace {
-        let e = by.entry(t.link.as_str()).or_default();
+        let e = by.entry(&*t.link).or_default();
         e.0 += t.bytes;
         e.1 += 1;
         e.2 += t.charge;
@@ -85,7 +85,7 @@ fn reconcile(trace: &[ClusterTransfer], links: &[LinkStats]) {
     // Every traced record must name a real lane.
     for t in trace {
         prop_assert!(
-            links.iter().any(|l| l.link == t.link),
+            links.iter().any(|l| *l.link == *t.link),
             "record {} names unknown link {}",
             &t.label,
             &t.link
@@ -145,7 +145,7 @@ proptest! {
         for j in &stats.jobs {
             let charged: Duration = trace
                 .iter()
-                .filter(|t| t.job == j.name)
+                .filter(|t| *t.job == *j.name)
                 .map(|t| t.charge)
                 .sum();
             prop_assert_eq!(

@@ -436,7 +436,7 @@ impl Subscriber {
     }
 
     fn wants_transfer(&self, t: &ClusterTransfer) -> bool {
-        self.transfers && self.name.as_ref().is_none_or(|n| *n == t.job)
+        self.transfers && self.name.as_ref().is_none_or(|n| **n == *t.job)
     }
 }
 

@@ -28,6 +28,8 @@
 //! every reservation resolves immediately into `(start, end)` times, so a
 //! fixed call sequence always yields identical timings.
 
+use std::sync::Arc;
+
 use crate::time::{Duration, Time};
 use crate::transfer::{Lane, LinkStats, Transfer};
 
@@ -203,16 +205,22 @@ impl Interconnect {
         self.host.admit_charged(want, bytes)
     }
 
+    /// The shared host link's name (`host`), for trace records.
+    pub fn host_name(&self) -> &Arc<str> {
+        self.host.name()
+    }
+
     /// The lane name an allreduce across `gpus` would ride: the gang's
     /// peer lane (`peer<d>`) when one exists and the gang fits a single
-    /// link domain, otherwise `host`. Used to label trace records.
-    pub fn allreduce_route(&self, gpus: &[usize]) -> String {
+    /// link domain, otherwise `host`. Used to label trace records; the
+    /// name is the lane's own, shared rather than copied.
+    pub fn allreduce_route(&self, gpus: &[usize]) -> &Arc<str> {
         if !self.peers.is_empty() && self.spec.same_domain(gpus) {
             if let Some(&first) = gpus.first() {
-                return self.peers[self.spec.domain_of(first)].name().to_owned();
+                return self.peers[self.spec.domain_of(first)].name();
             }
         }
-        self.host.name().to_owned()
+        self.host.name()
     }
 
     /// Performs a ring allreduce of `grad_bytes` of gradients across the

@@ -30,6 +30,8 @@
 //! admission resolves immediately into `(start, end)` times, so a fixed
 //! request sequence always yields identical timings.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::gpu::{CopyDir, DeviceSpec};
@@ -169,7 +171,7 @@ impl TransferRecord {
 /// never make later traffic wait.
 #[derive(Debug, Clone)]
 pub struct Lane {
-    name: String,
+    name: Arc<str>,
     bw: f64,
     overhead: Duration,
     busy_until: Time,
@@ -190,7 +192,7 @@ pub struct Lane {
 impl Lane {
     /// Creates an idle lane with the given bandwidth and per-transfer
     /// setup latency.
-    pub fn new(name: impl Into<String>, bw: f64, overhead: Duration) -> Lane {
+    pub fn new(name: impl Into<Arc<str>>, bw: f64, overhead: Duration) -> Lane {
         Lane {
             name: name.into(),
             bw,
@@ -204,8 +206,10 @@ impl Lane {
         }
     }
 
-    /// The lane's name (`copy-out`, `host`, `peer0`, …).
-    pub fn name(&self) -> &str {
+    /// The lane's name (`copy-out`, `host`, `peer0`, …) as one shared
+    /// allocation: a trace record labels its lane by cloning the pointer,
+    /// not by copying the text.
+    pub fn name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -282,7 +286,7 @@ impl Lane {
     /// The lane's accounting in serializable form.
     pub fn stats(&self) -> LinkStats {
         LinkStats {
-            link: self.name.clone(),
+            link: self.name.to_string(),
             busy: self.busy,
             bytes: self.bytes,
             transfers: self.transfers,
@@ -345,7 +349,7 @@ impl TransferEngine {
         let tr = lane.admit(req.earliest, req.bytes);
         self.records.push(TransferRecord {
             label: req.label,
-            link: lane.name.clone(),
+            link: lane.name.to_string(),
             dir: req.dir,
             bytes: req.bytes,
             queued: req.earliest,
