@@ -23,6 +23,15 @@ cargo test -q -p serde
 echo "==> benchmark builds against the current library (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --bins
 
+echo "==> benchmark determinism lines reproduce (results/perfbench_determinism.txt)"
+# One short run per workload; the run-length fields depend on host speed
+# and are dropped, every simulation field must match the committed file.
+for workload in fleet admit swap serve; do
+  bash perfbench/run.sh --workload "$workload" --seed 401 --seconds 1 --trace 0 2>/dev/null \
+    | grep '^determinism ' \
+    | sed -E 's/,"(passes|sessions|op_samples|op_tail_percentile)":[0-9.]+//g'
+done > results/perfbench_determinism.txt
+
 echo "==> paper artifacts reproduce (every exhibit rewrites identical JSON)"
 cargo run --release -q -p capuchin-bench --bin exhibit -- --all > /dev/null
 git diff --exit-code -- results/
