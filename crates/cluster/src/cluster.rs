@@ -617,17 +617,18 @@ impl Cluster {
             .enumerate()
             .map(|(idx, g)| {
                 // The byte-time integral, extended to the makespan end
-                // without mutating the ledger (`touch` would).
+                // without mutating the ledger (`reserve_to` would).
+                let (capacity, reserved) = (s.pool.capacity(idx), s.pool.reserved(idx));
                 let byte_ns = g.byte_ns
-                    + g.reserved as u128 * end.saturating_since(g.last_touch).as_nanos() as u128;
+                    + reserved as u128 * end.saturating_since(g.last_touch).as_nanos() as u128;
                 GpuStats {
                     gpu: idx,
-                    capacity: g.capacity,
+                    capacity,
                     peak_reserved_bytes: g.peak,
                     mean_utilization: if makespan_ns == 0 {
                         0.0
                     } else {
-                        byte_ns as f64 / (g.capacity as f64 * makespan_ns as f64)
+                        byte_ns as f64 / (capacity as f64 * makespan_ns as f64)
                     },
                     jobs_hosted: g.hosted,
                 }
@@ -966,7 +967,7 @@ mod tests {
             evictions: 0,
             transfers: vec![],
         }]);
-        let mut gpus = vec![GpuState::new(1 << 30)];
+        let mut gpus = vec![GpuState::default()];
         gpus[0].resident.push(0);
         let mut s = Session::default();
         s.jobs = jobs;
@@ -1003,7 +1004,7 @@ mod tests {
         jobs[0].gpus_held = vec![0];
         let mut s = Session::default();
         s.jobs = jobs;
-        s.gpus = vec![GpuState::new(1 << 30)];
+        s.gpus = vec![GpuState::default()];
         assert_eq!(s.schedule_iter(0, Time::ZERO), Err(EmptyWalls));
         assert!(s.heap.peek().is_none());
     }

@@ -15,14 +15,14 @@
 //!   rejected (admission-time OOM); shrunk admissions are re-validated by
 //!   an actual engine run at the granted budget, which is what makes
 //!   mid-run OOM aborts impossible for admitted jobs.
-//! * **Placement** ([`PlacementStrategy`]) — pluggable ordering of the
-//!   waiting queue against per-GPU headroom: strict [`FifoFirstFit`] and
-//!   [`BestFit`] memory bin-packing with priority aging. A job with
+//! * **Placement** ([`StrategyKind`]) — the order in which the waiting
+//!   queue meets per-GPU headroom: strict FIFO first-fit, or best-fit
+//!   memory bin-packing with priority aging. A job with
 //!   [`JobSpec::gpus`]` = k > 1` is a data-parallel *gang*: admission
 //!   measures the per-replica footprint (at batch `batch / k`) and the
-//!   strategy names a complete `k`-GPU subset, granted atomically — all
-//!   or none, preferring one link domain so the gang's gradient allreduce
-//!   rides a private peer lane.
+//!   pick names a complete `k`-GPU subset, granted atomically — all or
+//!   none, preferring one link domain under best-fit so the gang's
+//!   gradient allreduce rides a private peer lane.
 //! * **Simulation** ([`Cluster`]) — one deterministic event clock replays
 //!   validated per-iteration wall times with a contention model that
 //!   re-prices in-flight iterations at every residency change, and
@@ -117,6 +117,5 @@ pub use crate::stats::{
     JobStats, JobStatus, STATS_SCHEMA_VERSION,
 };
 pub use crate::strategy::{
-    aging_permille, effective_priority_permille, threshold_fits, BestFit, CandidateJob,
-    FifoFirstFit, FitsFn, GpuView, PlacementStrategy, StrategyKind,
+    aging_permille, effective_priority_permille, CandidateJob, StrategyKind,
 };

@@ -216,7 +216,7 @@ impl JobRun {
         self.spec.gpus.max(1)
     }
 
-    /// The strategy's view of this waiting job. A checkpointed job asks
+    /// The placement view of this waiting job. A checkpointed job asks
     /// for exactly its validated reservation back — no re-validation, no
     /// shrink search.
     pub(crate) fn candidate(&self, idx: usize) -> CandidateJob {
@@ -237,6 +237,16 @@ impl JobRun {
             min_need,
             failed_budget,
             boost_permille: 0,
+        }
+    }
+
+    /// [`JobRun::candidate`] with its SLO boost stamped at `now`. The
+    /// boost is read at pick time, not baked into the queue: it grows as
+    /// pending requests age without re-keying anything.
+    pub(crate) fn stamped(&self, idx: usize, now: Time, slo_aware: bool) -> CandidateJob {
+        CandidateJob {
+            boost_permille: self.slo_boost(now, slo_aware),
+            ..self.candidate(idx)
         }
     }
 
@@ -312,32 +322,15 @@ impl JobRun {
     }
 }
 
-/// Per-GPU reservation ledger with a byte-time integral for utilization.
+/// Per-GPU residency and the stats the [`GpuPool`] ledger does not keep:
+/// the peak reservation and a byte-time integral for utilization.
 #[derive(Debug, Default)]
 pub(crate) struct GpuState {
-    pub(crate) capacity: u64,
-    pub(crate) reserved: u64,
     pub(crate) resident: Vec<usize>,
     pub(crate) peak: u64,
     pub(crate) byte_ns: u128,
     pub(crate) last_touch: Time,
     pub(crate) hosted: usize,
-}
-
-impl GpuState {
-    pub(crate) fn new(capacity: u64) -> GpuState {
-        GpuState {
-            capacity,
-            ..GpuState::default()
-        }
-    }
-
-    /// Accumulates the byte-time integral up to `now`.
-    fn touch(&mut self, now: Time) {
-        let span = now.saturating_since(self.last_touch).as_nanos() as u128;
-        self.byte_ns += self.reserved as u128 * span;
-        self.last_touch = now;
-    }
 }
 
 /// Removes `job` from a GPU's resident list by position (one find + one
@@ -474,9 +467,9 @@ pub(crate) struct Session {
     pub(crate) jobs: Vec<JobRun>,
     pub(crate) gpus: Vec<GpuState>,
     pub(crate) fabric: Option<Interconnect>,
-    /// Headroom index mirroring `gpus[i].reserved`; every reservation
-    /// change goes through [`Session::reserve_on`]/[`Session::release_on`]
-    /// so the two can never disagree.
+    /// The per-GPU reservation ledger and its headroom index; every
+    /// reservation change goes through [`Session::reserve_to`], which
+    /// also banks the stats in `gpus`.
     pub(crate) pool: GpuPool,
     /// Waiting queue in queue-entry order (arrival, or checkpoint
     /// completion for preempted jobs), keyed by a monotone entry
@@ -491,10 +484,10 @@ pub(crate) struct Session {
     /// (candidates whose threshold is `None` can never fit and are
     /// excluded). Two roles: its first key is the queue's *fit floor* —
     /// while every device's headroom sits below it, the placement pass
-    /// provably picks nothing and settle skips it in O(1) — and for
-    /// order-insensitive strategies a range query feeds `pick` exactly
-    /// the candidates whose threshold clears the best headroom, instead
-    /// of scanning the whole backlog per probe.
+    /// provably picks nothing and settle skips it in O(1) — and under
+    /// best-fit a range query feeds `pick` exactly the candidates whose
+    /// threshold clears the best headroom, instead of scanning the whole
+    /// backlog per probe.
     pub(crate) by_threshold: BTreeMap<(u64, u64), usize>,
     /// Waiting elastic jobs (no checkpoint) in queue-entry order — the
     /// elastic pass walks this instead of filtering the whole queue.
@@ -517,7 +510,7 @@ pub(crate) struct Session {
     /// Pool generation [`Session::ladder_probes`] is valid at.
     pub(crate) ladder_gen: u64,
     /// Memoized elastic-ladder placement probes: two waiting jobs with
-    /// the same replica needs share one strategy probe per generation.
+    /// the same replica needs share one gang probe per generation.
     pub(crate) ladder_probes: BTreeMap<LadderKey, Option<Vec<usize>>>,
     /// Jobs currently holding reservations — the preemption victim scan
     /// iterates this instead of every job ever submitted.
@@ -561,9 +554,7 @@ impl Session {
             None => (0..cfg.gpus).collect(),
         };
         Session {
-            gpus: (0..cfg.gpus)
-                .map(|_| GpuState::new(cfg.spec.memory_bytes))
-                .collect(),
+            gpus: (0..cfg.gpus).map(|_| GpuState::default()).collect(),
             pool: GpuPool::new(vec![cfg.spec.memory_bytes; cfg.gpus], domain_of),
             fabric,
             ..Session::default()
@@ -619,22 +610,16 @@ impl Session {
         }
     }
 
-    /// Adds `bytes` to `gpu`'s reservation, keeping [`GpuState`] (stats
-    /// truth) and [`GpuPool`] (placement index) in lock-step.
-    fn reserve_on(&mut self, gpu: usize, bytes: u64, now: Time) {
+    /// Sets `gpu`'s reservation to `reserved` bytes in the pool, banking
+    /// the byte-time integral up to `now` at the old value and raising
+    /// the peak.
+    fn reserve_to(&mut self, gpu: usize, reserved: u64, now: Time) {
         let g = &mut self.gpus[gpu];
-        g.touch(now);
-        g.reserved += bytes;
-        g.peak = g.peak.max(g.reserved);
-        self.pool.set_reserved(gpu, g.reserved);
-    }
-
-    /// Releases `bytes` from `gpu`'s reservation, mirrored into the pool.
-    fn release_on(&mut self, gpu: usize, bytes: u64, now: Time) {
-        let g = &mut self.gpus[gpu];
-        g.touch(now);
-        g.reserved -= bytes;
-        self.pool.set_reserved(gpu, g.reserved);
+        let span = now.saturating_since(g.last_touch).as_nanos() as u128;
+        g.byte_ns += self.pool.reserved(gpu) as u128 * span;
+        g.last_touch = now;
+        g.peak = g.peak.max(reserved);
+        self.pool.set_reserved(gpu, reserved);
     }
 
     /// Moves every replica of `job`'s gang to a `bytes` reservation.
@@ -642,11 +627,7 @@ impl Session {
         let old = self.jobs[job].reserved;
         for i in 0..self.jobs[job].gpus_held.len() {
             let gpu = self.jobs[job].gpus_held[i];
-            if bytes >= old {
-                self.reserve_on(gpu, bytes - old, now);
-            } else {
-                self.release_on(gpu, old - bytes, now);
-            }
+            self.reserve_to(gpu, self.pool.reserved(gpu) - old + bytes, now);
         }
         self.jobs[job].reserved = bytes;
     }
@@ -699,7 +680,7 @@ impl Session {
     }
 
     /// Takes `job` off the queue and grants it its whole gang in one step
-    /// — `bytes` on every member. The strategy names the complete GPU set
+    /// — `bytes` on every member. The pick names the complete GPU set
     /// and every member is reserved here, so no job ever holds a partial
     /// gang (the no-deadlock invariant).
     pub(crate) fn grant(&mut self, job: usize, gang: &[usize], bytes: u64, now: Time) {
@@ -712,7 +693,7 @@ impl Session {
             self.serving_jobs.insert(job);
         }
         for &gpu in gang {
-            self.reserve_on(gpu, bytes, now);
+            self.reserve_to(gpu, self.pool.reserved(gpu) + bytes, now);
             let g = &mut self.gpus[gpu];
             g.resident.push(job);
             g.hosted += 1;
@@ -760,7 +741,7 @@ impl Session {
         self.resident_jobs.remove(&job);
         self.serving_jobs.remove(&job);
         for &gpu in &held {
-            self.release_on(gpu, reserved, now);
+            self.reserve_to(gpu, self.pool.reserved(gpu) - reserved, now);
             remove_resident(&mut self.gpus[gpu], job);
         }
         self.emit(job, now, kind);
@@ -893,14 +874,14 @@ impl Session {
         }
     }
 
-    /// Records a failed validation at `grant` for a *queued* job's
-    /// requested batch. The record changes the waiting candidate's fit
-    /// threshold, so the queue generation moves and the fit floor
-    /// re-files the candidate under its new value.
-    pub(crate) fn record_queued_failure(&mut self, job: usize, grant: u64) {
+    /// Records a failed validation at `grant` for a *queued* job at
+    /// `batch`. The queue generation moves so the next settle retries the
+    /// job; a record at the requested batch changes the waiting
+    /// candidate's fit threshold, and the fit floor re-files it.
+    pub(crate) fn record_queued_failure(&mut self, job: usize, batch: usize, grant: u64) {
         let old = self.jobs[job].candidate(job).fit_threshold();
         let j = &mut self.jobs[job];
-        j.record_failed(j.spec.batch, grant);
+        j.record_failed(batch, grant);
         let key = j.queue_key.expect("picked candidate is queued");
         let new = self.jobs[job].candidate(job).fit_threshold();
         if old != new {
