@@ -682,11 +682,11 @@ impl AdmissionCache {
         budget: u64,
         shrunk: bool,
     ) -> Option<Arc<Vec<ReplayIter>>> {
-        let iters = self.replay_iters(spec);
         if spec.policy.descriptor().cost_class == CostClass::Heuristic {
             let (est, _) = self.estimate(spec, batch);
             return self.synthesize_replay(spec, &est, budget);
         }
+        let iters = self.replay_iters(spec);
         let shape = Shape::of(spec, batch);
         let key = (shape, budget, spec.policy.name(), shrunk, iters);
         if let Some(cached) = self.validations.get(&key) {
@@ -717,7 +717,9 @@ impl AdmissionCache {
     /// validated swap timelines do. Below the slack-padded weight floor
     /// even an online policy cannot run (weights are unevictable), so
     /// the grant is refused like a failed validation — without an engine
-    /// run and without touching the validation cache.
+    /// run and without touching the validation cache. Every synthetic
+    /// iteration is the same, and a replay repeats its last iteration
+    /// ([`crate::session::JobRun::replay_idx`]), so the trace holds one.
     pub(crate) fn synthesize_replay(
         &self,
         spec: &JobSpec,
@@ -767,7 +769,7 @@ impl AdmissionCache {
                 ],
             }
         };
-        Some(Arc::new(vec![iter; self.replay_iters(spec) as usize]))
+        Some(Arc::new(vec![iter]))
     }
 
     /// Measured truth of `spec`'s shape for mispredict verification,
