@@ -7,6 +7,10 @@
 //! cargo run --release -p capuchin-bench --bin trace_export -- resnet50 300 capuchin
 //! ```
 //!
+//! The model defaults to `resnet50`, the batch to 300 and the system to
+//! `capuchin`. An unknown model or system, a batch that is not a
+//! positive integer, or a fourth argument prints usage and exits 2.
+//!
 //! Writes `results/trace_<model>_<batch>_<system>.json` with two process
 //! groups:
 //!
@@ -40,28 +44,22 @@ struct ChromeEvent {
     tid: u32,
 }
 
-fn parse_model(s: &str) -> ModelKind {
-    match s {
-        "vgg16" => ModelKind::Vgg16,
-        "resnet50" => ModelKind::ResNet50,
-        "resnet152" => ModelKind::ResNet152,
-        "inceptionv3" => ModelKind::InceptionV3,
-        "inceptionv4" => ModelKind::InceptionV4,
-        "densenet" => ModelKind::DenseNet121,
-        "bert" => ModelKind::BertBase,
-        other => panic!("unknown model `{other}`"),
-    }
-}
+/// Accepted system spellings.
+const SYSTEMS: [(&str, System); 5] = [
+    ("tf-ori", System::TfOri),
+    ("vdnn", System::Vdnn),
+    ("openai-m", System::OpenAiMemory),
+    ("openai-s", System::OpenAiSpeed),
+    ("capuchin", System::Capuchin),
+];
 
-fn parse_system(s: &str) -> System {
-    match s {
-        "tf-ori" => System::TfOri,
-        "vdnn" => System::Vdnn,
-        "openai-m" => System::OpenAiMemory,
-        "openai-s" => System::OpenAiSpeed,
-        "capuchin" => System::Capuchin,
-        other => panic!("unknown system `{other}`"),
-    }
+/// Names the bad argument, prints usage and exits 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("trace_export: {problem}");
+    eprintln!("usage: trace_export [model] [batch] [system] | trace_export --smoke");
+    eprintln!("  models:  {}", ModelKind::CLI_NAMES.join(" "));
+    eprintln!("  systems: {}", SYSTEMS.map(|(name, _)| name).join(" "));
+    std::process::exit(2);
 }
 
 /// Track index within the transfer process group (pid 2).
@@ -184,10 +182,26 @@ fn main() {
         smoke();
         return;
     }
-    let model_name = args.get(1).map(String::as_str).unwrap_or("resnet50");
-    let batch: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(300);
-    let system = parse_system(args.get(3).map(String::as_str).unwrap_or("capuchin"));
-    let kind = parse_model(model_name);
+    if args.len() > 4 {
+        usage(&format!("unexpected argument `{}`", args[4]));
+    }
+    let model_name = args.get(1).map_or("resnet50", String::as_str);
+    let kind = ModelKind::from_cli_name(model_name)
+        .unwrap_or_else(|| usage(&format!("unknown model `{model_name}`")));
+    let batch = match args.get(2) {
+        None => 300,
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&b: &usize| b > 0)
+            .unwrap_or_else(|| usage(&format!("batch `{s}` is not a positive integer"))),
+    };
+    let system_name = args.get(3).map_or("capuchin", String::as_str);
+    let system = SYSTEMS
+        .into_iter()
+        .find(|&(name, _)| name == system_name)
+        .map(|(_, system)| system)
+        .unwrap_or_else(|| usage(&format!("unknown system `{system_name}`")));
 
     let events = export(kind, batch, system);
     std::fs::create_dir_all("results").expect("results dir");

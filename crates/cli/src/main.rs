@@ -121,17 +121,6 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Accepted `--model` spellings, in menu order.
-const MODEL_NAMES: &[&str] = &[
-    "vgg16",
-    "resnet50",
-    "resnet152",
-    "inceptionv3",
-    "inceptionv4",
-    "densenet",
-    "bert",
-];
-
 /// Single-run-only baseline spellings: policies the cluster job files do
 /// not accept (they have no admission story) but the `run`/`max-batch`
 /// subcommands expose for §6 comparisons.
@@ -157,21 +146,12 @@ const POLICY_NAMES_ARR: [&str; JobPolicy::ACCEPTED.len() + BASELINE_POLICY_NAMES
 const POLICY_NAMES: &[&str] = &POLICY_NAMES_ARR;
 
 fn parse_model(s: &str) -> Result<ModelKind, CliError> {
-    Ok(match s.to_lowercase().as_str() {
-        "vgg16" => ModelKind::Vgg16,
-        "resnet50" => ModelKind::ResNet50,
-        "resnet152" => ModelKind::ResNet152,
-        "inceptionv3" => ModelKind::InceptionV3,
-        "inceptionv4" => ModelKind::InceptionV4,
-        "densenet" => ModelKind::DenseNet121,
-        "bert" => ModelKind::BertBase,
-        other => {
-            return Err(CliError::UnknownModel(ParseEnumError::unknown(
-                "model",
-                other,
-                MODEL_NAMES,
-            )))
-        }
+    ModelKind::from_cli_name(s).ok_or_else(|| {
+        CliError::UnknownModel(ParseEnumError::unknown(
+            "model",
+            &s.to_lowercase(),
+            &ModelKind::CLI_NAMES,
+        ))
     })
 }
 

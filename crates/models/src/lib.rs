@@ -96,6 +96,26 @@ impl ModelKind {
         ModelKind::BertBase,
     ];
 
+    /// Command-line spellings (`capuchin-cli --model`, `trace_export`),
+    /// in [`ModelKind::ALL`] order.
+    pub const CLI_NAMES: [&'static str; 7] = [
+        "vgg16",
+        "resnet50",
+        "resnet152",
+        "inceptionv3",
+        "inceptionv4",
+        "densenet",
+        "bert",
+    ];
+
+    /// Parses a command-line spelling ([`ModelKind::CLI_NAMES`]),
+    /// ignoring case; `None` for anything else.
+    pub fn from_cli_name(s: &str) -> Option<ModelKind> {
+        let s = s.to_lowercase();
+        let i = ModelKind::CLI_NAMES.iter().position(|&n| n == s)?;
+        Some(ModelKind::ALL[i])
+    }
+
     /// Display name matching the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -132,6 +152,16 @@ impl std::fmt::Display for ModelKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cli_names_parse_in_any_case() {
+        for (kind, name) in ModelKind::ALL.into_iter().zip(ModelKind::CLI_NAMES) {
+            assert_eq!(ModelKind::from_cli_name(name), Some(kind));
+        }
+        let upper = ModelKind::from_cli_name("ResNet50");
+        assert_eq!(upper, Some(ModelKind::ResNet50));
+        assert_eq!(ModelKind::from_cli_name("resnet9000"), None);
+    }
 
     #[test]
     fn all_models_build_and_validate_at_small_batch() {
