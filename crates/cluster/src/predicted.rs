@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use capuchin_sim::Time;
 
-use crate::admission::{
-    with_slack, AdmissionMode, AdmissionSource, EstimateSummary, JobNeeds, ReplayIter,
-};
+use crate::admission::{with_slack, AdmissionSource, EstimateSummary, JobNeeds, ReplayIter};
 use crate::cluster::Cluster;
 use crate::job::JobSpec;
 use crate::policy::CostClass;
@@ -64,14 +62,10 @@ impl Cluster {
             Some(raw) => {
                 let margin = self.cfg.safety_margin_permille;
                 let padded = raw.with_margin(margin);
+                // The measured path's rule: tf-ori admission never shrinks.
                 let base = JobNeeds {
                     full: padded.full,
-                    min: match self.cfg.admission {
-                        // TfOri admission never shrinks: min == full,
-                        // exactly like the measured path.
-                        AdmissionMode::TfOri => padded.full,
-                        AdmissionMode::Capuchin => padded.min,
-                    },
+                    min: self.cache.admission.floor(|| padded.min).min(padded.full),
                 };
                 let prediction = Prediction {
                     padded_full: base.full,
@@ -151,15 +145,13 @@ impl Cluster {
                     && matches!(j.admission_source, Some(AdmissionSource::Predicted { .. })) => {}
             _ => return false,
         }
-        let truth = self.cache.truth(&j.spec);
-        let true_full = with_slack(truth.ideal_peak);
-        // What the grant actually had to clear: TfOri runs unmanaged at
-        // the slack-padded peak; Capuchin only needs the smallest
-        // planner-feasible budget.
-        let required = match self.cfg.admission {
-            AdmissionMode::TfOri => true_full,
-            AdmissionMode::Capuchin => truth.min_plan.min(true_full),
-        };
+        // The shape's measuring run, shared with its measured and
+        // heuristic budgets: planner math only, no validation engine run.
+        let truth = self.cache.record(&j.spec, j.spec.batch);
+        let true_full = with_slack(truth.summary.ideal_peak);
+        // What the grant actually had to clear: the smallest budget the
+        // admission mode shrinks to (none under tf-ori: the padded peak).
+        let required = truth.floor.min(true_full);
         // A serving round's KV slots ride on top of the forward base the
         // truth describes; compare the base slice of the reservation.
         let kv_held = j.serving.as_ref().map_or(0, |sv| {
