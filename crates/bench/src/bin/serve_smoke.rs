@@ -15,7 +15,9 @@
 //! baseline matches.
 
 use capuchin_bench::{artifact_json, cluster_job as job, write_artifact};
-use capuchin_cluster::{AdmissionMode, Cluster, ClusterConfig, JobSpec, STATS_SCHEMA_VERSION};
+use capuchin_cluster::{
+    AdmissionMode, Cluster, ClusterConfig, JobEventKind, JobSpec, STATS_SCHEMA_VERSION,
+};
 use capuchin_models::ModelKind;
 use capuchin_serve::client::{request, Client};
 use capuchin_serve::{serve, ClockMode, ServeConfig, WIRE_SCHEMA_VERSION};
@@ -58,8 +60,7 @@ struct Summary {
     stats_schema: u32,
     jobs_submitted: usize,
     completed: u64,
-    stream_lines: usize,
-    dropped_total: u64,
+    busy_events: u64,
     request_lines: usize,
     served_lines: usize,
     stats_bytes: usize,
@@ -102,9 +103,17 @@ fn main() {
         }
     };
 
-    // The baseline the daemon must reproduce byte-for-byte.
+    // The baseline the daemon must reproduce byte-for-byte, and the busy
+    // job's lifecycle events its stream must account for: all but
+    // `Submitted`, which the daemon publishes before anyone subscribes.
     let specs = workload();
-    let expected = Cluster::new(cfg()).run(&specs).to_json();
+    let mut batch = Cluster::new(cfg());
+    let expected = batch.run(&specs).to_json();
+    let busy_expected = batch
+        .take_events()
+        .iter()
+        .filter(|e| e.job == BUSY && e.kind != JobEventKind::Submitted)
+        .count() as u64;
 
     // In-process daemon on an ephemeral port unless --connect was given.
     let (addr, handle) = match &connect {
@@ -188,11 +197,10 @@ fn main() {
 
     // Drain the subscriber stream to EOF: only the busy job's events,
     // plus at least one coalesced backpressure marker.
-    let mut stream_lines = 0usize;
+    let mut event_lines = 0u64;
     let mut dropped_total = 0u64;
     while let Some(line) = sub.recv().expect("stream") {
         check_wire_version(&line);
-        stream_lines += 1;
         match line.get("stream").and_then(Value::as_str) {
             Some("dropped") => {
                 dropped_total += line
@@ -202,13 +210,22 @@ fn main() {
             }
             Some("event") => {
                 assert_eq!(line.get("job").and_then(Value::as_u64), Some(BUSY));
+                event_lines += 1;
             }
             other => panic!("unexpected stream tag {other:?} in {line:?}"),
         }
     }
     assert!(
         dropped_total > 0,
-        "throttled subscriber saw no backpressure marker over {stream_lines} lines"
+        "throttled subscriber saw no backpressure marker over {event_lines} events"
+    );
+    // How many events arrive depends on the subscriber's wall-clock
+    // pacing; their sum with the dropped count does not: every event is
+    // either delivered or counted.
+    let busy_events = event_lines + dropped_total;
+    assert_eq!(
+        busy_events, busy_expected,
+        "busy stream accounts for {busy_events} event(s), the batch run emitted {busy_expected}"
     );
 
     // The inference stream must carry the request lifecycle: arrivals and
@@ -217,9 +234,11 @@ fn main() {
     let mut served_lines = 0usize;
     while let Some(line) = infer_sub.recv().expect("inference stream") {
         check_wire_version(&line);
-        if line.get("stream").and_then(Value::as_str) != Some("event") {
-            continue;
-        }
+        assert_eq!(
+            line.get("stream").and_then(Value::as_str),
+            Some("event"),
+            "the unthrottled inference stream dropped or mixed in a line: {line:?}"
+        );
         assert_eq!(line.get("job").and_then(Value::as_u64), Some(INFER));
         match line.get("kind").and_then(Value::as_str) {
             Some("request_arrived") => request_lines += 1,
@@ -247,19 +266,19 @@ fn main() {
         stats_schema: STATS_SCHEMA_VERSION,
         jobs_submitted: specs.len(),
         completed,
-        stream_lines,
-        dropped_total,
+        busy_events,
         request_lines,
         served_lines,
         stats_bytes: rendered.len(),
     };
     println!(
-        "serve smoke OK: {} jobs over TCP, {} stream line(s), {} dropped \
-         (coalesced), {} request arrival(s) / {} serve(s) streamed, \
-         stats byte-identical to the batch run ({} bytes)",
+        "serve smoke OK: {} jobs over TCP, {} event line(s) + {} dropped \
+         (coalesced) = {} busy event(s), {} request arrival(s) / {} \
+         serve(s) streamed, stats byte-identical to the batch run ({} bytes)",
         summary.jobs_submitted,
-        summary.stream_lines,
-        summary.dropped_total,
+        event_lines,
+        dropped_total,
+        summary.busy_events,
         summary.request_lines,
         summary.served_lines,
         summary.stats_bytes,

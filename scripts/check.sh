@@ -32,6 +32,9 @@ for workload in fleet admit swap serve; do
     | sed -E 's/,"(passes|sessions|op_samples|op_tail_percentile)":[0-9.]+//g'
 done > results/perfbench_determinism.txt
 
+echo "==> smoke: serve daemon, in-process (TCP submit/subscribe/drain, stats byte-identity)"
+cargo run --release -q -p capuchin-bench --bin serve_smoke
+
 echo "==> paper artifacts reproduce (every exhibit rewrites identical JSON)"
 cargo run --release -q -p capuchin-bench --bin exhibit -- --all > /dev/null
 git diff --exit-code -- results/
@@ -41,9 +44,6 @@ cargo run --release -q -p capuchin-bench --bin trace_export -- --smoke
 
 echo "==> smoke: cluster_bench scenario table (invariants of every scenario + committed-row gates)"
 cargo run --release -q -p capuchin-bench --bin cluster_bench -- --smoke
-
-echo "==> smoke: serve daemon, in-process (TCP submit/subscribe/drain, stats byte-identity)"
-cargo run --release -q -p capuchin-bench --bin serve_smoke
 
 echo "==> smoke: serve daemon, external process on an ephemeral port"
 serve_log="$(mktemp)"
