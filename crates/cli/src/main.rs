@@ -24,7 +24,8 @@ use capuchin_graph::Graph;
 use capuchin_models::ModelKind;
 use capuchin_sim::DeviceSpec;
 
-const USAGE: &str = "\
+/// The usage text before the model and policy menus.
+const USAGE_HEAD: &str = "\
 capuchin-cli — tensor-based GPU memory management, simulated
 
 USAGE:
@@ -50,10 +51,10 @@ USAGE:
                            [--slo-aware on|off] [--predictive on|off]
                            [--safety-margin <permille>] [--min-samples <n>]
 
-MODELS:    vgg16 resnet50 resnet152 inceptionv3 inceptionv4 densenet bert
-POLICIES:  tf-ori capuchin (default) dtr delta — cluster job-file policies,
-           dispatched through the policy registry — plus the single-run
-           baselines vdnn openai-memory openai-speed lru
+";
+
+/// The usage text after the model and policy menus.
+const USAGE_TAIL: &str = "\
 MEMORY:    e.g. 16GiB, 800 MiB, 64KiB, or raw bytes (default 16GiB per GPU)
 CLUSTER:   schedules a multi-job workload over N simulated GPUs and prints
            cluster-stats JSON (deterministic for a fixed workload/seed).
@@ -94,8 +95,28 @@ SERVE:     runs the same scheduler as a long-lived daemon speaking
            --clock wall paces the event clock against real time.
 ";
 
+/// The usage text, its model and policy menus spelled from the tables
+/// the parsers accept.
+fn usage() -> String {
+    let policies: Vec<String> = JobPolicy::ACCEPTED
+        .iter()
+        .map(|&p| match p {
+            DEFAULT_POLICY => format!("{p} (default)"),
+            _ => p.to_owned(),
+        })
+        .collect();
+    format!(
+        "{USAGE_HEAD}MODELS:    {}\nPOLICIES:  {} — cluster job-file policies,
+           dispatched through the policy registry — plus the single-run
+           baselines {}\n{USAGE_TAIL}",
+        ModelKind::CLI_NAMES.join(" "),
+        policies.join(" "),
+        BASELINE_POLICY_NAMES.join(" "),
+    )
+}
+
 fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    eprintln!("error: {msg}\n\n{}", usage());
     std::process::exit(2);
 }
 
@@ -125,6 +146,9 @@ impl std::error::Error for CliError {}
 /// not accept (they have no admission story) but the `run`/`max-batch`
 /// subcommands expose for §6 comparisons.
 const BASELINE_POLICY_NAMES: &[&str] = &["vdnn", "openai-memory", "openai-speed", "lru"];
+
+/// The `--policy` of `run` and `max-batch` when none is given.
+const DEFAULT_POLICY: &str = "capuchin";
 
 /// Accepted `--policy` spellings: every registry policy (the spellings
 /// come from `capuchin_cluster::REGISTRY` via [`JobPolicy::ACCEPTED`])
@@ -224,7 +248,7 @@ impl Args {
         self.flags
             .get("policy")
             .map(String::as_str)
-            .unwrap_or("capuchin")
+            .unwrap_or(DEFAULT_POLICY)
     }
 
     fn memory(&self) -> u64 {
@@ -566,7 +590,7 @@ fn main() {
         Some("plan") => cmd_plan(&Args::parse(&argv[1..])),
         Some("cluster") => cmd_cluster(&Args::parse(&argv[1..])),
         Some("serve") => cmd_serve(&Args::parse(&argv[1..])),
-        Some("--help") | Some("-h") | None => println!("{USAGE}"),
+        Some("--help") | Some("-h") | None => println!("{}", usage()),
         Some(other) => fail(&format!("unknown command `{other}`")),
     }
 }
@@ -603,6 +627,28 @@ mod tests {
         assert!(e.to_string().contains("chunky"), "{e}");
 
         assert_eq!(parse_model("ResNet50").unwrap(), ModelKind::ResNet50);
+    }
+
+    /// The usage menus name every spelling the parsers accept.
+    #[test]
+    fn usage_names_every_model_and_policy_spelling() {
+        let text = usage();
+        let menu = |from: &str, to: &str| -> Vec<String> {
+            let start = text.find(from).expect("menu heading") + from.len();
+            let end = start + text[start..].find(to).expect("next heading");
+            text[start..end]
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect()
+        };
+        let models = menu("MODELS:", "POLICIES:");
+        for name in ModelKind::CLI_NAMES {
+            assert!(models.iter().any(|w| w == name), "MODELS lacks {name}");
+        }
+        let policies = menu("POLICIES:", "MEMORY:");
+        for name in POLICY_NAMES {
+            assert!(policies.iter().any(|w| w == name), "POLICIES lacks {name}");
+        }
     }
 
     #[test]
