@@ -378,82 +378,6 @@ impl<'g> Engine<'g> {
         self.interp_held.contains(&key)
     }
 
-    /// Summarizes resident tensors: top-N largest plus aggregate byte
-    /// counts (a what-is-holding-memory diagnostic).
-    pub fn live_summary(&self, top: usize) -> String {
-        let mut resident: Vec<(&str, u64, TensorStatus)> = self
-            .reg
-            .iter()
-            .filter(|t| t.device.is_some())
-            .map(|t| (t.meta.name.as_str(), t.size_bytes(), t.status))
-            .collect();
-        resident.sort_by_key(|&(_, s, _)| std::cmp::Reverse(s));
-        let total: u64 = resident.iter().map(|&(_, s, _)| s).sum();
-        let weights: u64 = self
-            .reg
-            .iter()
-            .filter(|t| t.device.is_some() && t.meta.persistent)
-            .map(|t| t.size_bytes())
-            .sum();
-        let mut out = format!(
-            "{} resident tensors, {:.0} MiB ({:.0} MiB weights); device in_use {:.0} MiB\n",
-            resident.len(),
-            total as f64 / (1 << 20) as f64,
-            weights as f64 / (1 << 20) as f64,
-            self.dev.in_use() as f64 / (1 << 20) as f64,
-        );
-        for (name, size, status) in resident.into_iter().take(top) {
-            out.push_str(&format!(
-                "  {:>8.1} MiB [{}] {}\n",
-                size as f64 / (1 << 20) as f64,
-                status,
-                name
-            ));
-        }
-        out
-    }
-
-    /// Describes each free region and its in-use neighbours — a
-    /// fragmentation diagnostic for harnesses and debugging.
-    pub fn memory_map(&self) -> Vec<String> {
-        let describe = |id: Option<capuchin_mem::AllocId>| -> String {
-            match id {
-                None => "edge/free".to_owned(),
-                Some(id) => self
-                    .reg
-                    .iter()
-                    .find(|t| t.device.map(|a| a.id() == id).unwrap_or(false))
-                    .map(|t| {
-                        format!(
-                            "{} [{}] {}{}",
-                            t.meta.name,
-                            t.status,
-                            if t.meta.persistent { "weight " } else { "" },
-                            if self.pinned.contains(&t.key()) {
-                                "pinned"
-                            } else {
-                                ""
-                            }
-                        )
-                    })
-                    .unwrap_or_else(|| "scratch/workspace".to_owned()),
-            }
-        };
-        self.dev
-            .free_regions()
-            .into_iter()
-            .map(|(offset, size)| {
-                format!(
-                    "hole {:>6.1} MiB @ {:>6.1} MiB | above: {} | below: {}",
-                    size as f64 / (1 << 20) as f64,
-                    offset as f64 / (1 << 20) as f64,
-                    describe(self.dev.neighbor_at(offset + size)),
-                    describe(self.dev.neighbor_before(offset)),
-                )
-            })
-            .collect()
-    }
-
     /// The active policy (for post-run inspection via
     /// [`MemoryPolicy::as_any`]).
     ///

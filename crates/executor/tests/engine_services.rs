@@ -190,20 +190,6 @@ fn eager_held_tensors_refuse_eviction() {
 }
 
 #[test]
-fn diagnostics_render() {
-    let g = tiny_cnn();
-    let mut eng = Engine::new(&g, EngineConfig::default(), Box::new(TfOri::new()));
-    eng.run(1).unwrap();
-    let summary = eng.live_summary(5);
-    assert!(summary.contains("resident tensors"));
-    // After an iteration only weights remain; the memory map has one big
-    // free hole bounded by weights or the arena edge.
-    let map = eng.memory_map();
-    assert!(!map.is_empty());
-    assert!(map[0].contains("hole"));
-}
-
-#[test]
 fn key_value_roundtrip() {
     let g = tiny_cnn();
     for v in g.values() {
