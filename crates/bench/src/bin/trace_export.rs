@@ -8,8 +8,11 @@
 //! ```
 //!
 //! The model defaults to `resnet50`, the batch to 300 and the system to
-//! `capuchin`. An unknown model or system, a batch that is not a
-//! positive integer, or a fourth argument prints usage and exits 2.
+//! `capuchin`; the systems are `capuchin_bench::System`'s spellings. An
+//! unknown model or system, a system that does not support the model, a
+//! batch that is not a positive integer, or a fourth argument prints
+//! usage and exits 2. A batch that does not fit prints the engine's
+//! error and exits 1.
 //!
 //! Writes `results/trace_<model>_<batch>_<system>.json` with two process
 //! groups:
@@ -28,7 +31,7 @@
 //! loadable; `scripts/check.sh` uses it.
 
 use capuchin_bench::System;
-use capuchin_executor::{Engine, EngineConfig};
+use capuchin_executor::{Engine, EngineConfig, ExecError};
 use capuchin_models::ModelKind;
 use capuchin_sim::{StreamKind, TraceKind, TransferRecord};
 use serde::{Deserialize, Serialize};
@@ -44,21 +47,13 @@ struct ChromeEvent {
     tid: u32,
 }
 
-/// Accepted system spellings.
-const SYSTEMS: [(&str, System); 5] = [
-    ("tf-ori", System::TfOri),
-    ("vdnn", System::Vdnn),
-    ("openai-m", System::OpenAiMemory),
-    ("openai-s", System::OpenAiSpeed),
-    ("capuchin", System::Capuchin),
-];
-
 /// Names the bad argument, prints usage and exits 2.
 fn usage(problem: &str) -> ! {
     eprintln!("trace_export: {problem}");
     eprintln!("usage: trace_export [model] [batch] [system] | trace_export --smoke");
     eprintln!("  models:  {}", ModelKind::CLI_NAMES.join(" "));
-    eprintln!("  systems: {}", SYSTEMS.map(|(name, _)| name).join(" "));
+    let systems: Vec<String> = System::all().map(|s| s.accepted().join("|")).collect();
+    eprintln!("  systems: {}", systems.join(" "));
     std::process::exit(2);
 }
 
@@ -104,16 +99,15 @@ fn transfer_events(rec: &TransferRecord) -> Vec<ChromeEvent> {
 }
 
 /// Runs `system` on `kind`/`batch` and renders the combined stream +
-/// transfer timeline.
-fn export(kind: ModelKind, batch: usize, system: System) -> Vec<ChromeEvent> {
+/// transfer timeline; the engine's error when the batch does not fit.
+fn export(kind: ModelKind, batch: usize, system: System) -> Result<Vec<ChromeEvent>, ExecError> {
     let model = kind.build(batch);
     let cfg = EngineConfig {
         trace: true,
         ..EngineConfig::default()
     };
     let mut eng = Engine::new(&model.graph, cfg, system.policy(&model.graph));
-    eng.run(system.warm_iters())
-        .unwrap_or_else(|e| panic!("{kind} b={batch} under {system}: {e}"));
+    eng.run(system.warm_iters())?;
 
     let mut events: Vec<ChromeEvent> = eng
         .take_trace()
@@ -145,13 +139,13 @@ fn export(kind: ModelKind, batch: usize, system: System) -> Vec<ChromeEvent> {
             events.extend(transfer_events(rec));
         }
     }
-    events
+    Ok(events)
 }
 
 /// Miniature export into a temp file, re-parsed as the typed event list:
 /// the emitted JSON must stay loadable.
 fn smoke() {
-    let events = export(ModelKind::ResNet50, 280, System::Capuchin);
+    let events = export(ModelKind::ResNet50, 280, System::Capuchin).expect("smoke batch fits");
     let json = serde_json::to_string(&events).expect("serialize");
     let path = std::env::temp_dir().join("capuchin_trace_smoke.json");
     std::fs::write(&path, &json).expect("write smoke trace");
@@ -197,13 +191,15 @@ fn main() {
             .unwrap_or_else(|| usage(&format!("batch `{s}` is not a positive integer"))),
     };
     let system_name = args.get(3).map_or("capuchin", String::as_str);
-    let system = SYSTEMS
-        .into_iter()
-        .find(|&(name, _)| name == system_name)
-        .map(|(_, system)| system)
-        .unwrap_or_else(|| usage(&format!("unknown system `{system_name}`")));
+    let system: System = system_name.parse().unwrap_or_else(|e: String| usage(&e));
+    if !system.supports(kind) {
+        usage(&format!("{system} does not support {kind} (CNN-only)"));
+    }
 
-    let events = export(kind, batch, system);
+    let events = export(kind, batch, system).unwrap_or_else(|e| {
+        eprintln!("trace_export: {kind} at batch {batch} under {system}: {e}");
+        std::process::exit(1);
+    });
     std::fs::create_dir_all("results").expect("results dir");
     let path = format!("results/trace_{model_name}_{batch}_{system}.json");
     std::fs::write(&path, serde_json::to_string(&events).expect("serialize")).expect("write");

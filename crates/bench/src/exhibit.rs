@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use capuchin::{Capuchin, CapuchinConfig};
-use capuchin_baselines::{CheckpointMode, GradientCheckpointing, LruSwap, TfOri, Vdnn};
+use capuchin_baselines::CheckpointMode;
 use capuchin_executor::{Engine, EngineConfig, MemoryPolicy};
 use capuchin_graph::{OpKind, Phase};
 use capuchin_models::Model;
@@ -22,7 +22,7 @@ use capuchin_sim::{CopyDir, Duration, TraceKind};
 use capuchin_tensor::TensorKey;
 use serde::Serialize;
 
-use crate::{artifact_json, samples_per_s, write_artifact, Bench, System};
+use crate::{artifact_json, checkpointing, samples_per_s, write_artifact, Bench, System};
 
 /// One table or figure of the paper's evaluation.
 pub struct Exhibit {
@@ -141,8 +141,9 @@ fn fig1_vdnn_sync() -> String {
     // TF-ori cannot run batch 230 (the paper's point); take its per-sample
     // speed at its comfort zone, batch 208, as the baseline.
     let tf_model = Vgg16.build(208);
+    let tf_policy = System::TfOri.policy(&tf_model.graph);
     let tf_iter = Bench::default()
-        .run(&tf_model.graph, Box::new(TfOri::new()), None, 3)
+        .run(&tf_model.graph, tf_policy, None, 3)
         .expect("VGG16 @208 fits TF-ori");
     let tf_tput = samples_per_s(208, &tf_iter);
 
@@ -150,8 +151,7 @@ fn fig1_vdnn_sync() -> String {
         trace: true,
         ..EngineConfig::default()
     };
-    let vdnn = Vdnn::from_graph(&model.graph);
-    let mut eng = Engine::new(&model.graph, cfg, Box::new(vdnn));
+    let mut eng = Engine::new(&model.graph, cfg, System::Vdnn.policy(&model.graph));
     let stats = eng.run(2).expect("vDNN runs VGG16 @230");
     let vdnn_iter = stats.try_last().expect("two iterations ran");
     let trace = eng.take_trace().expect("trace enabled");
@@ -237,7 +237,7 @@ fn fig2_conv_times() -> String {
         trace: true,
         ..EngineConfig::default()
     };
-    let mut eng = Engine::new(&model.graph, cfg, Box::new(TfOri::new()));
+    let mut eng = Engine::new(&model.graph, cfg, System::TfOri.policy(&model.graph));
     eng.run(2).expect("InceptionV3 fits at TF-ori max batch");
     let trace = eng.take_trace().expect("trace enabled");
 
@@ -302,11 +302,8 @@ fn fig3_access_pattern() -> String {
     }
 
     let model = ResNet50.build(190);
-    let mut eng = Engine::new(
-        &model.graph,
-        EngineConfig::default(),
-        Box::new(TfOri::new()),
-    );
+    let policy = System::TfOri.policy(&model.graph);
+    let mut eng = Engine::new(&model.graph, EngineConfig::default(), policy);
 
     // Profile iterations 5, 10, 15 as in the paper.
     let mut profiles: Vec<HashMap<TensorKey, Vec<f64>>> = Vec::new();
@@ -739,12 +736,13 @@ fn overhead_tracking() -> String {
         };
         for &(kind, batch) in cases {
             let model = kind.build(batch);
-            let wall = |bench: &Bench, policy: Box<dyn MemoryPolicy>| {
+            let wall = |bench: &Bench, system: System| {
+                let policy = system.policy(&model.graph);
                 let last = bench.run(&model.graph, policy, None, 3).expect("fits");
                 last.wall().as_secs_f64()
             };
-            let base = wall(&bench, Box::new(TfOri::new()));
-            let pct = 100.0 * (wall(&tracked, Box::new(Capuchin::new())) / base - 1.0);
+            let base = wall(&bench, System::TfOri);
+            let pct = 100.0 * (wall(&tracked, System::Capuchin) / base - 1.0);
             println!(
                 "  {mode}  {:<12} b={batch:<4} overhead = {pct:.2}%",
                 kind.name()
@@ -839,26 +837,20 @@ fn ablations() -> String {
         cfg.planner.lane_aware = false;
         (format!("step={step}"), FULL_MB, capuchin(cfg))
     });
-    let passive: [(_, _, Box<dyn MemoryPolicy>); 2] = [
-        (
-            "LRU on-demand paging".to_owned(),
-            FULL_MB,
-            Box::new(LruSwap::new()),
-        ),
-        ("Capuchin".to_owned(), FULL_MB, Box::new(Capuchin::new())),
-    ];
     let resnet500 = ResNet50.build(500);
+    // LRU and Capuchin configure themselves from the engine, not the graph.
+    let passive = [
+        ("LRU on-demand paging", System::Lru),
+        ("Capuchin", System::Capuchin),
+    ]
+    .map(|(label, system)| (label.to_owned(), FULL_MB, system.policy(&resnet500.graph)));
     let checkpoints = [
         ("count-based sqrt(n) (tool)", CheckpointMode::Memory),
         ("byte-balanced (ours)", CheckpointMode::MemoryBalanced),
     ]
     .map(|(label, mode)| {
-        let policy = GradientCheckpointing::from_graph(&resnet500.graph, mode);
-        (
-            label.to_owned(),
-            FULL_MB,
-            Box::new(policy) as Box<dyn MemoryPolicy>,
-        )
+        let policy = checkpointing(&resnet500.graph, mode);
+        (label.to_owned(), FULL_MB, policy)
     });
     // Each study's runs share a model, a batch and an iteration count.
     let studies: [(_, _, _, _, Runs); 6] = [

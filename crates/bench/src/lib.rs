@@ -15,7 +15,7 @@ pub mod scenario;
 use std::path::Path;
 
 use capuchin::{Capuchin, CapuchinConfig};
-use capuchin_baselines::{CheckpointMode, GradientCheckpointing, TfOri, Vdnn};
+use capuchin_baselines::{CheckpointMode, GradientCheckpointing, LruSwap, Vdnn};
 use capuchin_cluster::{JobPolicy, JobSpec};
 use capuchin_executor::{Engine, EngineConfig, ExecMode, IterStats, MemoryPolicy};
 use capuchin_graph::Graph;
@@ -23,8 +23,9 @@ use capuchin_models::ModelKind;
 use capuchin_sim::{DeviceSpec, Duration};
 use serde::Serialize;
 
-/// The systems compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+/// The systems compared in the paper's evaluation, and the policies the
+/// command line runs beside them: one row of the system table each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// Original TensorFlow (no memory management).
     TfOri,
@@ -40,58 +41,167 @@ pub enum System {
     CapuchinSwapOnly,
     /// Capuchin restricted to recomputation (Fig. 8b breakdowns).
     CapuchinRecomputeOnly,
+    /// Dynamic Tensor Rematerialization (arXiv:2006.09616).
+    Dtr,
+    /// Capuchin's planner under DELTA's swap/recompute choice
+    /// (arXiv:2203.15980).
+    Delta,
+    /// On-demand LRU paging.
+    Lru,
+}
+
+/// One system: how it is spelled, shown, warmed and built.
+struct Row {
+    system: System,
+    /// Accepted spellings, canonical first.
+    accepted: &'static [&'static str],
+    /// Display name used in tables.
+    name: &'static str,
+    /// Iterations to the steady state (Capuchin's planners need the
+    /// measured iteration plus refinement rounds).
+    warm_iters: u64,
+    /// CNN-specific (vDNN; paper: "not available on BERT").
+    cnn_only: bool,
+    /// The policy for a graph; systems with a cluster-registry row build
+    /// through it.
+    build: fn(&Graph) -> Box<dyn MemoryPolicy>,
+}
+
+/// The system table, in [`System`] variant order.
+const ROWS: &[Row] = &[
+    Row {
+        system: System::TfOri,
+        accepted: &["tf-ori"],
+        name: "TF-ori",
+        warm_iters: 3,
+        cnn_only: false,
+        build: |_| JobPolicy::TfOri.descriptor().build(),
+    },
+    Row {
+        system: System::Vdnn,
+        accepted: &["vdnn"],
+        name: "vDNN",
+        warm_iters: 3,
+        cnn_only: true,
+        build: |g| Box::new(Vdnn::from_graph(g)),
+    },
+    Row {
+        system: System::OpenAiMemory,
+        accepted: &["openai-memory", "openai-m"],
+        name: "OpenAI-M",
+        warm_iters: 3,
+        cnn_only: false,
+        build: |g| checkpointing(g, CheckpointMode::Memory),
+    },
+    Row {
+        system: System::OpenAiSpeed,
+        accepted: &["openai-speed", "openai-s"],
+        name: "OpenAI-S",
+        warm_iters: 3,
+        cnn_only: false,
+        build: |g| checkpointing(g, CheckpointMode::Speed),
+    },
+    Row {
+        system: System::Capuchin,
+        accepted: &["capuchin"],
+        name: "Capuchin",
+        warm_iters: 10,
+        cnn_only: false,
+        build: |_| JobPolicy::Capuchin.descriptor().build(),
+    },
+    Row {
+        system: System::CapuchinSwapOnly,
+        accepted: &["capuchin-swap"],
+        name: "Capuchin(swap)",
+        warm_iters: 10,
+        cnn_only: false,
+        build: |_| Box::new(Capuchin::with_config(CapuchinConfig::swap_only())),
+    },
+    Row {
+        system: System::CapuchinRecomputeOnly,
+        accepted: &["capuchin-recompute"],
+        name: "Capuchin(recompute)",
+        warm_iters: 10,
+        cnn_only: false,
+        build: |_| Box::new(Capuchin::with_config(CapuchinConfig::recompute_only())),
+    },
+    Row {
+        system: System::Dtr,
+        accepted: &["dtr"],
+        name: "DTR",
+        warm_iters: 3,
+        cnn_only: false,
+        build: |_| JobPolicy::Dtr.descriptor().build(),
+    },
+    Row {
+        system: System::Delta,
+        accepted: &["delta"],
+        name: "DELTA",
+        warm_iters: 10,
+        cnn_only: false,
+        build: |_| JobPolicy::Delta.descriptor().build(),
+    },
+    Row {
+        system: System::Lru,
+        accepted: &["lru"],
+        name: "LRU",
+        warm_iters: 3,
+        cnn_only: false,
+        build: |_| Box::new(LruSwap::new()),
+    },
+];
+
+/// Gradient checkpointing in `mode`, configured from `graph`.
+pub(crate) fn checkpointing(graph: &Graph, mode: CheckpointMode) -> Box<dyn MemoryPolicy> {
+    Box::new(GradientCheckpointing::from_graph(graph, mode))
 }
 
 impl System {
+    fn row(self) -> &'static Row {
+        &ROWS[self as usize]
+    }
+
+    /// Every system, in table order.
+    pub fn all() -> impl Iterator<Item = System> {
+        ROWS.iter().map(|row| row.system)
+    }
+
+    /// Accepted command-line spellings, canonical first.
+    pub fn accepted(self) -> &'static [&'static str] {
+        self.row().accepted
+    }
+
     /// Display name used in tables.
     pub fn name(self) -> &'static str {
-        match self {
-            System::TfOri => "TF-ori",
-            System::Vdnn => "vDNN",
-            System::OpenAiMemory => "OpenAI-M",
-            System::OpenAiSpeed => "OpenAI-S",
-            System::Capuchin => "Capuchin",
-            System::CapuchinSwapOnly => "Capuchin(swap)",
-            System::CapuchinRecomputeOnly => "Capuchin(recompute)",
-        }
+        self.row().name
     }
 
     /// Instantiates the policy for a graph.
     pub fn policy(self, graph: &Graph) -> Box<dyn MemoryPolicy> {
-        match self {
-            System::TfOri => Box::new(TfOri::new()),
-            System::Vdnn => Box::new(Vdnn::from_graph(graph)),
-            System::OpenAiMemory => Box::new(GradientCheckpointing::from_graph(
-                graph,
-                CheckpointMode::Memory,
-            )),
-            System::OpenAiSpeed => Box::new(GradientCheckpointing::from_graph(
-                graph,
-                CheckpointMode::Speed,
-            )),
-            System::Capuchin => Box::new(Capuchin::new()),
-            System::CapuchinSwapOnly => {
-                Box::new(Capuchin::with_config(CapuchinConfig::swap_only()))
-            }
-            System::CapuchinRecomputeOnly => {
-                Box::new(Capuchin::with_config(CapuchinConfig::recompute_only()))
-            }
-        }
+        (self.row().build)(graph)
     }
 
-    /// Iterations needed for the system's steady state (Capuchin needs the
-    /// measured iteration plus refinement rounds).
+    /// Iterations needed for the system's steady state.
     pub fn warm_iters(self) -> u64 {
-        match self {
-            System::Capuchin | System::CapuchinSwapOnly | System::CapuchinRecomputeOnly => 10,
-            _ => 3,
-        }
+        self.row().warm_iters
     }
 
-    /// Whether the system can train `kind` at all: vDNN is CNN-specific
-    /// (paper: "not available on BERT").
+    /// Whether the system can train `kind` at all: vDNN is CNN-specific.
     pub fn supports(self, kind: ModelKind) -> bool {
-        !(self == System::Vdnn && kind == ModelKind::BertBase)
+        !(self.row().cnn_only && kind == ModelKind::BertBase)
+    }
+}
+
+impl std::str::FromStr for System {
+    type Err = String;
+
+    /// Parses any accepted spelling; the error lists them all.
+    fn from_str(s: &str) -> Result<System, String> {
+        let found = System::all().find(|system| system.accepted().contains(&s));
+        found.ok_or_else(|| {
+            let all: Vec<&str> = ROWS.iter().flat_map(|row| row.accepted).copied().collect();
+            format!("unknown policy `{s}` (expected one of: {})", all.join(", "))
+        })
     }
 }
 
@@ -144,16 +254,21 @@ impl Bench {
         budget: Option<u64>,
         iters: u64,
     ) -> Option<IterStats> {
-        let cfg = EngineConfig {
-            spec: match budget {
-                Some(bytes) => self.spec.clone().with_memory(bytes),
-                None => self.spec.clone(),
-            },
+        let mut cfg = self.config();
+        if let Some(bytes) = budget {
+            cfg.spec = cfg.spec.with_memory(bytes);
+        }
+        Engine::new(graph, cfg, policy).run(iters).ok()?.iters.pop()
+    }
+
+    /// The engine configuration of a run on the harness device.
+    pub fn config(&self) -> EngineConfig {
+        EngineConfig {
+            spec: self.spec.clone(),
             mode: self.mode,
             tracking_overhead: self.tracking_overhead,
             ..EngineConfig::default()
-        };
-        Engine::new(graph, cfg, policy).run(iters).ok()?.iters.pop()
+        }
     }
 
     /// Steady-state training speed in samples/second, or `None` on OOM.
@@ -308,17 +423,46 @@ mod tests {
     #[test]
     fn all_systems_instantiate() {
         let model = ModelKind::ResNet50.build(4);
-        for system in [
-            System::TfOri,
-            System::Vdnn,
-            System::OpenAiMemory,
-            System::OpenAiSpeed,
-            System::Capuchin,
-            System::CapuchinSwapOnly,
-            System::CapuchinRecomputeOnly,
-        ] {
+        for system in System::all() {
             let policy = system.policy(&model.graph);
             assert!(!policy.name().is_empty());
+        }
+    }
+
+    /// The rows sit in variant order, every spelling names one system,
+    /// and each spelling parses back to its row.
+    #[test]
+    fn rows_are_in_variant_order_and_spellings_are_unique() {
+        let mut spellings = Vec::new();
+        for (i, system) in System::all().enumerate() {
+            assert_eq!(system as usize, i, "{system} out of order");
+            for &s in system.accepted() {
+                assert_eq!(s.parse::<System>(), Ok(system));
+                spellings.push(s);
+            }
+        }
+        assert_eq!(System::all().count(), System::Lru as usize + 1);
+        let n = spellings.len();
+        spellings.sort_unstable();
+        spellings.dedup();
+        assert_eq!(spellings.len(), n, "duplicate spelling");
+        let err = "tf-new".parse::<System>().unwrap_err();
+        assert!(
+            err.contains("`tf-new`") && err.contains("openai-m"),
+            "{err}"
+        );
+    }
+
+    /// Registry policies spell themselves as the cluster registry does.
+    #[test]
+    fn registry_systems_share_the_registry_spellings() {
+        for &spelling in JobPolicy::ACCEPTED {
+            let system: System = spelling.parse().expect("registry spelling");
+            let policy = system.policy(&ModelKind::ResNet50.build(4).graph);
+            assert_eq!(
+                policy.name(),
+                spelling.parse::<JobPolicy>().unwrap().descriptor().name
+            );
         }
     }
 }

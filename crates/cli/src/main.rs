@@ -14,15 +14,13 @@
 use std::collections::HashMap;
 
 use capuchin::Capuchin;
-use capuchin_baselines::{CheckpointMode, GradientCheckpointing, LruSwap, Vdnn};
+use capuchin_bench::{Bench, System};
 use capuchin_cluster::{
     load_jobs, synthetic_jobs, synthetic_mixed_jobs, Cluster, ClusterConfig, JobPolicy,
     ParseEnumError,
 };
-use capuchin_executor::{Engine, EngineConfig, ExecMode, MemoryPolicy};
-use capuchin_graph::Graph;
+use capuchin_executor::Engine;
 use capuchin_models::ModelKind;
-use capuchin_sim::DeviceSpec;
 
 /// The usage text before the model and policy menus.
 const USAGE_HEAD: &str = "\
@@ -98,20 +96,19 @@ SERVE:     runs the same scheduler as a long-lived daemon speaking
 /// The usage text, its model and policy menus spelled from the tables
 /// the parsers accept.
 fn usage() -> String {
-    let policies: Vec<String> = JobPolicy::ACCEPTED
-        .iter()
-        .map(|&p| match p {
-            DEFAULT_POLICY => format!("{p} (default)"),
-            _ => p.to_owned(),
+    let policies: Vec<String> = System::all()
+        .map(|system| match system {
+            DEFAULT_POLICY => format!("{} (default)", system.accepted().join("|")),
+            _ => system.accepted().join("|"),
         })
         .collect();
+    let lines: Vec<String> = policies.chunks(4).map(|line| line.join(" ")).collect();
     format!(
-        "{USAGE_HEAD}MODELS:    {}\nPOLICIES:  {} — cluster job-file policies,
-           dispatched through the policy registry — plus the single-run
-           baselines {}\n{USAGE_TAIL}",
+        "{USAGE_HEAD}MODELS:    {}\nPOLICIES:  {}
+           (cluster job files accept the registry's {})\n{USAGE_TAIL}",
         ModelKind::CLI_NAMES.join(" "),
-        policies.join(" "),
-        BASELINE_POLICY_NAMES.join(" "),
+        lines.join("\n           "),
+        JobPolicy::ACCEPTED.join(" "),
     )
 }
 
@@ -142,32 +139,8 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Single-run-only baseline spellings: policies the cluster job files do
-/// not accept (they have no admission story) but the `run`/`max-batch`
-/// subcommands expose for §6 comparisons.
-const BASELINE_POLICY_NAMES: &[&str] = &["vdnn", "openai-memory", "openai-speed", "lru"];
-
 /// The `--policy` of `run` and `max-batch` when none is given.
-const DEFAULT_POLICY: &str = "capuchin";
-
-/// Accepted `--policy` spellings: every registry policy (the spellings
-/// come from `capuchin_cluster::REGISTRY` via [`JobPolicy::ACCEPTED`])
-/// followed by the single-run baselines.
-const POLICY_NAMES_ARR: [&str; JobPolicy::ACCEPTED.len() + BASELINE_POLICY_NAMES.len()] = {
-    let mut out = [""; JobPolicy::ACCEPTED.len() + BASELINE_POLICY_NAMES.len()];
-    let mut i = 0;
-    while i < JobPolicy::ACCEPTED.len() {
-        out[i] = JobPolicy::ACCEPTED[i];
-        i += 1;
-    }
-    let mut j = 0;
-    while j < BASELINE_POLICY_NAMES.len() {
-        out[i + j] = BASELINE_POLICY_NAMES[j];
-        j += 1;
-    }
-    out
-};
-const POLICY_NAMES: &[&str] = &POLICY_NAMES_ARR;
+const DEFAULT_POLICY: System = System::Capuchin;
 
 fn parse_model(s: &str) -> Result<ModelKind, CliError> {
     ModelKind::from_cli_name(s).ok_or_else(|| {
@@ -177,30 +150,6 @@ fn parse_model(s: &str) -> Result<ModelKind, CliError> {
             &ModelKind::CLI_NAMES,
         ))
     })
-}
-
-fn make_policy(name: &str, graph: &Graph) -> Box<dyn MemoryPolicy> {
-    // Registry policies (tf-ori, capuchin, dtr, delta, …) dispatch through
-    // their descriptor — the CLI adds no policy knowledge of its own.
-    if let Ok(p) = name.parse::<JobPolicy>() {
-        return p.descriptor().build();
-    }
-    // Single-run baselines live outside the cluster registry: they have
-    // no admission story, so job files reject them, but `run`/`max-batch`
-    // still expose them for §6 comparisons.
-    match name {
-        "vdnn" => Box::new(Vdnn::from_graph(graph)),
-        "openai-memory" => Box::new(GradientCheckpointing::from_graph(
-            graph,
-            CheckpointMode::Memory,
-        )),
-        "openai-speed" => Box::new(GradientCheckpointing::from_graph(
-            graph,
-            CheckpointMode::Speed,
-        )),
-        "lru" => Box::new(LruSwap::new()),
-        other => fail(&ParseEnumError::unknown("policy", other, POLICY_NAMES).to_string()),
-    }
 }
 
 /// One shared size parser for every subcommand — the real implementation
@@ -247,8 +196,19 @@ impl Args {
     fn policy_name(&self) -> &str {
         self.flags
             .get("policy")
-            .map(String::as_str)
-            .unwrap_or(DEFAULT_POLICY)
+            .map_or(DEFAULT_POLICY.accepted()[0], String::as_str)
+    }
+
+    /// The `--policy` as a [`System`], refused unless it can train `kind`.
+    fn system(&self, kind: ModelKind) -> System {
+        let system: System = self
+            .policy_name()
+            .parse()
+            .unwrap_or_else(|e: String| fail(&e));
+        if !system.supports(kind) {
+            fail(&format!("{system} is CNN-only and does not support {kind}"));
+        }
+        system
     }
 
     fn memory(&self) -> u64 {
@@ -276,15 +236,15 @@ impl Args {
             .unwrap_or(8)
     }
 
-    fn config(&self) -> EngineConfig {
-        EngineConfig {
-            spec: DeviceSpec::p100_pcie3().with_memory(self.memory()),
-            mode: if self.eager {
-                ExecMode::eager_default()
-            } else {
-                ExecMode::Graph
-            },
-            ..EngineConfig::default()
+    /// The harness for the `--memory` device and `--eager` mode.
+    fn bench(&self) -> Bench {
+        let bench = match self.eager {
+            true => Bench::eager(),
+            false => Bench::default(),
+        };
+        Bench {
+            spec: bench.spec.with_memory(self.memory()),
+            ..bench
         }
     }
 
@@ -330,10 +290,11 @@ fn cmd_models() {
 fn cmd_run(args: &Args) {
     args.expect_only(&["model", "batch", "policy", "memory", "iters"]);
     let kind = args.model();
+    let system = args.system(kind);
     let batch = args.batch();
     let model = kind.build(batch);
-    let cfg = args.config();
-    let policy = make_policy(args.policy_name(), &model.graph);
+    let cfg = args.bench().config();
+    let policy = system.policy(&model.graph);
     println!(
         "{} @ batch {batch} under {} ({:.1} GiB device{})",
         kind.name(),
@@ -382,44 +343,12 @@ fn cmd_run(args: &Args) {
 fn cmd_max_batch(args: &Args) {
     args.expect_only(&["model", "policy", "memory"]);
     let kind = args.model();
-    let cfg = args.config();
-    let policy_name = args.policy_name().to_owned();
-    // Plan-capable policies (capuchin, delta) need enough iterations for
-    // the measured pass plus planned steady state; unmanaged and online
-    // policies settle in three.
-    let probe_iters = if matches!(policy_name.as_str(), "capuchin" | "delta") {
-        8
-    } else {
-        3
-    };
-    let fits = |b: usize| -> bool {
-        let model = kind.build(b);
-        let policy = make_policy(&policy_name, &model.graph);
-        Engine::new(&model.graph, cfg.clone(), policy)
-            .run(probe_iters)
-            .is_ok()
-    };
-    let (mut lo, mut hi) = (0usize, 8usize);
-    while fits(hi) {
-        lo = hi;
-        hi *= 2;
+    let system = args.system(kind);
+    let name = args.policy_name();
+    match args.bench().max_batch(kind, system, 8) {
+        0 => println!("{kind} cannot run at any batch under {name}"),
+        max => println!("{kind} maximum batch under {name}: {max}"),
     }
-    if lo == 0 {
-        println!(
-            "{} cannot run even at batch 8 under {policy_name}",
-            kind.name()
-        );
-        return;
-    }
-    while hi - lo > (lo / 64).max(1) {
-        let mid = (lo + hi) / 2;
-        if fits(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    println!("{} maximum batch under {policy_name}: {lo}", kind.name());
 }
 
 fn cmd_plan(args: &Args) {
@@ -427,7 +356,8 @@ fn cmd_plan(args: &Args) {
     let kind = args.model();
     let batch = args.batch();
     let model = kind.build(batch);
-    let mut eng = Engine::new(&model.graph, args.config(), Box::new(Capuchin::new()));
+    let cfg = args.bench().config();
+    let mut eng = Engine::new(&model.graph, cfg, Box::new(Capuchin::new()));
     if let Err(e) = eng.run(3) {
         eprintln!("measured execution failed: {e}");
         std::process::exit(1);
@@ -646,8 +576,11 @@ mod tests {
             assert!(models.iter().any(|w| w == name), "MODELS lacks {name}");
         }
         let policies = menu("POLICIES:", "MEMORY:");
-        for name in POLICY_NAMES {
-            assert!(policies.iter().any(|w| w == name), "POLICIES lacks {name}");
+        let policies: Vec<&str> = policies.iter().flat_map(|w| w.split('|')).collect();
+        for system in System::all() {
+            for name in system.accepted() {
+                assert!(policies.contains(name), "POLICIES lacks {name}");
+            }
         }
     }
 
@@ -660,7 +593,7 @@ mod tests {
         let args = Args::parse(&raw);
         assert!(args.eager);
         assert_eq!(args.batch(), 32);
-        assert_eq!(args.policy_name(), "capuchin");
+        assert_eq!(args.system(ModelKind::ResNet50), System::Capuchin);
         assert_eq!(args.memory(), 16 << 30);
     }
 }

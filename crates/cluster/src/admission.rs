@@ -211,12 +211,9 @@ pub enum AdmissionSource {
     /// (heuristic-class policies such as DTR).
     Heuristic,
     /// Budgets predicted by the regression store from prior completed
-    /// runs: zero measuring and zero validation engine runs.
-    Predicted {
-        /// The safety margin (permille, ≥ 1000) the raw prediction was
-        /// multiplied by before it became the admission budget.
-        margin_permille: u64,
-    },
+    /// runs, padded by the configured safety margin: zero measuring and
+    /// zero validation engine runs.
+    Predicted,
 }
 
 impl AdmissionSource {
@@ -225,7 +222,7 @@ impl AdmissionSource {
         match self {
             AdmissionSource::Measured => "measured",
             AdmissionSource::Heuristic => "heuristic",
-            AdmissionSource::Predicted { .. } => "predicted",
+            AdmissionSource::Predicted => "predicted",
         }
     }
 }

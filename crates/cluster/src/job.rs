@@ -207,24 +207,6 @@ impl JobSpec {
         self.class == JobClass::Inference
     }
 
-    /// The admission feature vector the footprint predictor consumes:
-    /// `(batch, gpus, kv_bytes_per_request)`. The gpus coefficient is
-    /// structural (identical replicas at the per-replica batch slice),
-    /// as is the KV coefficient (priced per licensed slot at admission);
-    /// the batch coefficient is the one the regression fits. See
-    /// [`crate::predict`].
-    pub fn predict_features(&self) -> PredictFeatures {
-        PredictFeatures {
-            batch: self.batch.max(1) as u64,
-            gpus: self.gpus.max(1) as u64,
-            kv_bytes_per_request: if self.is_inference() {
-                self.kv_bytes_per_request
-            } else {
-                0
-            },
-        }
-    }
-
     /// The KV bytes one fully licensed serving round can pin per replica:
     /// `max_inflight × kv_bytes_per_request`, the exact structural term
     /// admission adds on top of the base forward needs. Zero for
@@ -370,29 +352,6 @@ impl JobSpec {
             }
         }
         Ok(())
-    }
-}
-
-/// The per-job feature vector of predictive admission: the three knobs
-/// a submitter controls that move the footprint. Everything else the
-/// predictor needs (model family, policy, class) is part of the key,
-/// not the features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictFeatures {
-    /// Global mini-batch size (≥ 1).
-    pub batch: u64,
-    /// Gang width (≥ 1); folds into the per-replica batch exactly.
-    pub gpus: u64,
-    /// Per-request KV bytes (0 for training jobs); priced per licensed
-    /// slot exactly.
-    pub kv_bytes_per_request: u64,
-}
-
-impl PredictFeatures {
-    /// The fitted feature: the per-replica batch slice, `ceil(batch /
-    /// gpus)`, never below 1.
-    pub fn replica_batch(&self) -> u64 {
-        self.batch.div_ceil(self.gpus.max(1)).max(1)
     }
 }
 

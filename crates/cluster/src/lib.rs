@@ -106,8 +106,7 @@ pub use crate::cluster::{
 };
 pub use crate::headroom::GpuPool;
 pub use crate::job::{
-    load_jobs, parse_memory, synthetic_jobs, synthetic_mixed_jobs, JobFileError, JobPolicy,
-    JobSpec, PredictFeatures,
+    load_jobs, parse_memory, synthetic_jobs, synthetic_mixed_jobs, JobFileError, JobPolicy, JobSpec,
 };
 pub use crate::parse::{parse_on_off, ParseEnumError};
 pub use crate::policy::{CostClass, PolicyDescriptor, REGISTRY};

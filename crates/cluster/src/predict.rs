@@ -15,8 +15,8 @@
 //!
 //! # Features and coefficients
 //!
-//! A job's admission features are `(batch, gpus, kv_bytes_per_request)`
-//! ([`crate::JobSpec::predict_features`]). Two of the three coefficients
+//! A job's admission features are its [`crate::JobSpec`]'s `batch`,
+//! `gpus` and `kv_bytes_per_request`. Two of the three coefficients
 //! are *structural* — exact by construction, nothing to fit:
 //!
 //! * **gpus** — a data-parallel gang splits the batch evenly and every

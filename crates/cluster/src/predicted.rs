@@ -60,8 +60,7 @@ impl Cluster {
         let raw = if consult { self.predict(spec) } else { None };
         let (est, base, source, prediction) = match raw {
             Some(raw) => {
-                let margin = self.cfg.safety_margin_permille;
-                let padded = raw.with_margin(margin);
+                let padded = raw.with_margin(self.cfg.safety_margin_permille);
                 // The measured path's rule: tf-ori admission never shrinks.
                 let base = JobNeeds {
                     full: padded.full,
@@ -72,9 +71,7 @@ impl Cluster {
                     raw_full: raw.full,
                     ..Prediction::default()
                 };
-                let source = AdmissionSource::Predicted {
-                    margin_permille: margin,
-                };
+                let source = AdmissionSource::Predicted;
                 (padded.into(), base, source, Some(prediction))
             }
             None => {
@@ -102,7 +99,7 @@ impl Cluster {
     /// The regression store's raw (pre-margin) footprint for `spec`'s
     /// family at its replica batch; `None` while the key is cold.
     fn predict(&self, spec: &JobSpec) -> Option<PredictedFootprint> {
-        let rb = spec.predict_features().replica_batch();
+        let rb = spec.replica_batch() as u64;
         self.predictor
             .predict(&key_of(spec), rb, self.cfg.min_samples)
     }
@@ -140,9 +137,7 @@ impl Cluster {
     pub(crate) fn verify_prediction(&mut self, s: &mut Session, job: usize, now: Time) -> bool {
         let j = &s.jobs[job];
         match &j.prediction {
-            Some(p)
-                if !p.checked
-                    && matches!(j.admission_source, Some(AdmissionSource::Predicted { .. })) => {}
+            Some(p) if !p.checked && j.admission_source == Some(AdmissionSource::Predicted) => {}
             _ => return false,
         }
         // The shape's measuring run, shared with its measured and

@@ -151,7 +151,7 @@ impl Cluster {
         // which routes heuristic-class policies to their own synthetic
         // path.
         let validated = match j.admission_source {
-            Some(AdmissionSource::Predicted { .. }) if batch == j.spec.batch => {
+            Some(AdmissionSource::Predicted) if batch == j.spec.batch => {
                 self.predicted_replay(&j.spec, budget)
             }
             _ => self.cache.validated_replay(&j.spec, batch, budget, shrunk),

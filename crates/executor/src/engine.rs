@@ -68,8 +68,6 @@ impl ExecMode {
 pub struct EngineConfig {
     /// Simulated device.
     pub spec: DeviceSpec,
-    /// Host staging pool capacity in bytes.
-    pub host_capacity: u64,
     /// Graph or eager scheduling.
     pub mode: ExecMode,
     /// Record a full kernel/copy timeline.
@@ -87,7 +85,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             spec: DeviceSpec::p100_pcie3(),
-            host_capacity: 256 * (1 << 30),
             mode: ExecMode::Graph,
             trace: false,
             inplace_grad: None,
@@ -236,6 +233,9 @@ impl std::fmt::Debug for dyn MemoryPolicy + '_ {
     }
 }
 
+/// Host staging pool capacity in bytes.
+const HOST_CAPACITY: u64 = 256 << 30;
+
 impl<'g> Engine<'g> {
     /// Creates an engine for `graph` with the given device and policy.
     pub fn new(graph: &'g Graph, cfg: EngineConfig, policy: Box<dyn MemoryPolicy>) -> Engine<'g> {
@@ -275,7 +275,7 @@ impl<'g> Engine<'g> {
             tracking_overhead: cfg.tracking_overhead,
             gpu,
             dev: DeviceAllocator::with_reserved(cfg.spec.memory_bytes, reserved),
-            host: HostPool::new(cfg.host_capacity),
+            host: HostPool::new(HOST_CAPACITY),
             reg: TensorRegistry::new(),
             policy: Some(policy),
             remaining_uses: Vec::new(),
