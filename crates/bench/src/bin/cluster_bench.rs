@@ -73,6 +73,18 @@ fn main() {
                     ""
                 );
             }
+            if let (Some(p), Some(c), Some(pc), Some(w), Some(v)) = (
+                r.picks,
+                r.candidates,
+                r.preemption_checks,
+                r.waiters,
+                r.victim_probes,
+            ) {
+                println!(
+                    "{:<35} settle: {p} picks read {c} candidates, {pc} preemption checks read {w} waiters and probed {v} victims",
+                    ""
+                );
+            }
             rows.push(r);
         }
         eprintln!("[{}] invariants hold", sc.name);

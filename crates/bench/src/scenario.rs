@@ -12,6 +12,7 @@
 
 use std::time::{Duration as Wall, Instant};
 
+use capuchin_cluster::strategy::SettleCounters;
 use capuchin_cluster::JobPolicy::{Capuchin, TfOri};
 use capuchin_cluster::{
     synthetic_jobs, synthetic_mixed_jobs, AdmissionMode, Cluster, ClusterConfig,
@@ -53,6 +54,8 @@ pub struct Run {
     pub events: u64,
     /// Validation-engine runs this case added to the controller total.
     pub validation_runs: u64,
+    /// Settle work counters of the run.
+    pub settle: SettleCounters,
     /// Host wall clock from the first submit to idle.
     pub wall: Wall,
     /// Process peak RSS (`VmHWM`) at idle, in KiB (0 off Linux).
@@ -91,7 +94,8 @@ pub struct Scenario {
 }
 
 /// One uniform artifact row. Every field but the last six is
-/// simulation-side and byte-reproducible.
+/// simulation-side and byte-reproducible; the settle work counters are
+/// recorded on `scale` rows only.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Row {
     /// Scenario name.
@@ -137,6 +141,16 @@ pub struct Row {
     pub predictor_hits: u64,
     /// Admissions the predictor could not serve.
     pub predictor_misses: u64,
+    /// Placement picks ([`SettleCounters::picks`]).
+    pub picks: Option<u64>,
+    /// Candidates those picks read ([`SettleCounters::candidates`]).
+    pub candidates: Option<u64>,
+    /// Preemption victim searches ([`SettleCounters::preemption_checks`]).
+    pub preemption_checks: Option<u64>,
+    /// Waiters those searches examined ([`SettleCounters::waiters`]).
+    pub waiters: Option<u64>,
+    /// Victims probed ([`SettleCounters::victim_probes`]).
+    pub victim_probes: Option<u64>,
     /// Host wall clock, first submit → idle.
     pub wall_s: f64,
     /// Host wall clock per submitted job.
@@ -159,6 +173,7 @@ impl Row {
         let s = &run.stats;
         let sum = |f: fn(&JobStats) -> Duration| s.jobs.iter().map(f).sum::<Duration>().as_nanos();
         let top = run.jobs.iter().map(|j| j.priority).max();
+        let settle = |f: fn(&SettleCounters) -> u64| run.host.as_ref().map(|_| f(&run.settle));
         let urgent =
             s.jobs.iter().zip(&run.jobs).filter(|(j, spec)| {
                 j.outcome == JobOutcome::Completed && Some(spec.priority) == top
@@ -190,6 +205,11 @@ impl Row {
                 .unwrap_or(0),
             predictor_hits: s.predictor_hits,
             predictor_misses: s.predictor_misses,
+            picks: settle(|c| c.picks),
+            candidates: settle(|c| c.candidates),
+            preemption_checks: settle(|c| c.preemption_checks),
+            waiters: settle(|c| c.waiters),
+            victim_probes: settle(|c| c.victim_probes),
             wall_s: run.wall.as_secs_f64(),
             us_per_job: run.wall.as_secs_f64() * 1e6 / run.jobs.len() as f64,
             peak_rss_kib: run.host.as_ref().map(|_| run.peak_rss_kib),
@@ -272,6 +292,7 @@ fn run_case(cluster: &mut Cluster, label: String, jobs: Vec<JobSpec>) -> Run {
         trace,
         events,
         validation_runs: cluster.validation_runs() - before,
+        settle: cluster.settle_counters(),
         wall,
         peak_rss_kib: peak_rss_kib(),
         host: None,

@@ -193,6 +193,12 @@ impl Cluster {
         self.session.predictor_misses
     }
 
+    /// Work counters of this session's settle passes (see
+    /// [`crate::strategy::SettleCounters`]); [`Cluster::reset`] zeroes them.
+    pub fn settle_counters(&self) -> crate::strategy::SettleCounters {
+        self.session.counters
+    }
+
     /// Runs the workload to completion and returns the stats.
     ///
     /// A thin wrapper over the online core: [`Cluster::reset`], then

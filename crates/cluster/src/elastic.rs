@@ -4,7 +4,6 @@
 //! boundaries, and shrinking one ladder rung to absorb an inference
 //! burst. Every batch change keeps the samples trained exact.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use capuchin::{bisect_batch, elastic_batches};
@@ -72,12 +71,6 @@ pub(crate) struct Regrow {
     replay: Arc<Vec<ReplayIter>>,
 }
 
-/// Memoization key for one elastic-ladder placement probe: `(gang width,
-/// full need, min need, failed budget)` — every input of
-/// [`crate::StrategyKind::gang`] besides the pool state itself, which is
-/// pinned by [`crate::GpuPool::generation`].
-pub(crate) type LadderKey = (usize, u64, u64, Option<u64>);
-
 /// The elastic job's state; panics for any other class.
 fn elastic(s: &mut Session, job: usize) -> &mut ElasticState {
     s.jobs[job].elastic.as_mut().expect("elastic job")
@@ -115,12 +108,6 @@ impl Cluster {
         }
         let waiting: Vec<usize> = s.pending_elastic.values().copied().collect();
         for job in waiting {
-            // Admissions earlier in this pass moved the pool generation,
-            // so the memo check lives inside the loop.
-            if s.ladder_gen != s.pool.generation() {
-                s.ladder_probes.clear();
-                s.ladder_gen = s.pool.generation();
-            }
             let ladder = elastic_batches(s.jobs[job].spec.batch, self.cfg.min_batch_fraction);
             if ladder.len() < 2 {
                 // The fraction allows no shrinking — ever. File the job
@@ -156,37 +143,27 @@ impl Cluster {
             if floor_min > s.pool.max_headroom() {
                 continue;
             }
-            let mut picks = BTreeMap::new();
             // ladder[0] is the full batch placement already refused this
-            // instant; only reduced candidates.
-            let (j, pool, probes) = (&s.jobs[job], &s.pool, &mut s.ladder_probes);
-            let chosen = bisect_batch(&ladder[1..], |b| {
+            // instant; only reduced candidates. A rung fits exactly when
+            // its gang exists ([`CandidateJob::fits`]), so the bisection
+            // probes device counts and the gang search runs once, on the
+            // chosen rung.
+            let j = &s.jobs[job];
+            let mut rung = |b: usize| {
                 let needs = self.cache.estimate(&j.spec, b).1;
-                let fb = j.failed.get(&b).copied();
-                // Two waiting jobs with the same shape share one probe
-                // per pool generation: a gang depends only on (width,
-                // needs, failed budget) and the pool — never on identity,
-                // arrival or priority.
-                let key: LadderKey = (j.width(), needs.full, needs.min, fb);
-                let gang = probes.entry(key).or_insert_with(|| {
-                    let cand = CandidateJob {
-                        full_need: needs.full,
-                        min_need: needs.min,
-                        failed_budget: fb,
-                        ..j.candidate(job)
-                    };
-                    kind.gang(&cand, pool)
-                });
-                if let Some(gang) = gang {
-                    picks.insert(b, gang.clone());
+                CandidateJob {
+                    full_need: needs.full,
+                    min_need: needs.min,
+                    failed_budget: j.failed.get(&b).copied(),
+                    ..j.candidate(job)
                 }
-                gang.is_some()
-            });
+            };
+            let chosen = bisect_batch(&ladder[1..], |b| rung(b).fits(&s.pool));
+            let chosen = chosen.map(|b| (b, rung(b)));
             self.cache.charge(&mut s.jobs[job].admission_validations);
-            let Some(batch) = chosen else { continue };
-            let gang = picks.remove(&batch).expect("chosen batch was probed");
-            let full = self.cache.estimate(&s.jobs[job].spec, batch).1.full;
-            if self.admit_on(s, job, &gang, batch, full, now) {
+            let Some((batch, c)) = chosen else { continue };
+            let gang = kind.gang(&c, &s.pool).expect("the chosen rung fits");
+            if self.admit_on(s, job, &gang, batch, c.full_need, now) {
                 // The reduced-batch grant was engine-validated, whatever
                 // the arrival-time provenance said: record the stronger
                 // guarantee and skip mispredict verification.

@@ -8,8 +8,8 @@
 //! least T bytes free", "how many devices clear T (up to a limit)", and
 //! "next domain holding a device that clears T" without touching devices
 //! that cannot fit. A generation counter increments on every mutation and
-//! keys the cluster's memoized elastic-ladder probes: any cached probe
-//! result is valid exactly as long as the generation is unchanged.
+//! keys the settle pass's skip: a `None` pick stays `None` exactly as
+//! long as the generation (and the queue) is unchanged.
 //!
 //! The index answers the same fit question a per-GPU scan asks, because
 //! the cluster's fit predicate is monotone in headroom: a job fits a GPU

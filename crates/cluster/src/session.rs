@@ -16,13 +16,13 @@ use capuchin_sim::{CopyDir, DeviceSpec, Duration, Interconnect, Time};
 
 use crate::admission::{AdmissionSource, EstimateSummary, JobNeeds, ReplayIter};
 use crate::config::ClusterConfig;
-use crate::elastic::{ElasticState, LadderKey, Regrow};
+use crate::elastic::{ElasticState, Regrow};
 use crate::headroom::GpuPool;
 use crate::inference::Serving;
 use crate::job::JobSpec;
 use crate::predicted::Prediction;
 use crate::stats::{ClusterTransfer, JobEvent, JobEventKind, JobOutcome, JobState};
-use crate::strategy::CandidateJob;
+use crate::strategy::{CandidateJob, SettleCounters};
 
 /// Where a job is in its lifecycle. Each variant is one legal state;
 /// DESIGN.md §8 tabulates the public [`JobState`]/[`JobOutcome`] each
@@ -240,12 +240,18 @@ impl JobRun {
         }
     }
 
-    /// [`JobRun::candidate`] with its SLO boost stamped at `now`. The
-    /// boost is read at pick time, not baked into the queue: it grows as
-    /// pending requests age without re-keying anything.
+    /// [`JobRun::candidate`] with its SLO boost stamped at `now`: 0 for
+    /// everything but a serving job under SLO-aware scheduling
+    /// ([`Serving::slo_boost`]). The boost is read at pick time, not
+    /// baked into the queue: it grows as pending requests age without
+    /// re-keying anything.
     pub(crate) fn stamped(&self, idx: usize, now: Time, slo_aware: bool) -> CandidateJob {
+        let boost = match &self.serving {
+            Some(sv) if slo_aware => sv.slo_boost(now),
+            _ => 0,
+        };
         CandidateJob {
-            boost_permille: self.slo_boost(now, slo_aware),
+            boost_permille: boost,
             ..self.candidate(idx)
         }
     }
@@ -310,15 +316,6 @@ impl JobRun {
     /// final (steady-state) iteration repeats past its length.
     pub(crate) fn replay_idx(&self) -> usize {
         (self.iters_done as usize).min(self.replay.len().saturating_sub(1))
-    }
-
-    /// SLO-slack priority boost of a *waiting* job: 0 for everything but
-    /// a serving job under SLO-aware scheduling ([`Serving::slo_boost`]).
-    pub(crate) fn slo_boost(&self, now: Time, slo_aware: bool) -> u64 {
-        match &self.serving {
-            Some(sv) if slo_aware => sv.slo_boost(now),
-            _ => 0,
-        }
     }
 }
 
@@ -507,17 +504,14 @@ pub(crate) struct Session {
     /// only on queue contents and headroom, never on the clock), so
     /// settle skips them.
     pub(crate) settled_at: Option<(u64, u64)>,
-    /// Pool generation [`Session::ladder_probes`] is valid at.
-    pub(crate) ladder_gen: u64,
-    /// Memoized elastic-ladder placement probes: two waiting jobs with
-    /// the same replica needs share one gang probe per generation.
-    pub(crate) ladder_probes: BTreeMap<LadderKey, Option<Vec<usize>>>,
     /// Jobs currently holding reservations — the preemption victim scan
     /// iterates this instead of every job ever submitted.
     pub(crate) resident_jobs: BTreeSet<usize>,
     /// The resident serving jobs, a subset of `resident_jobs` kept at
     /// grant and release so the serving loop visits only them.
     pub(crate) serving_jobs: BTreeSet<usize>,
+    /// Work counters of the settle passes.
+    pub(crate) counters: SettleCounters,
     /// Jobs with a preemption checkpoint copy in flight (the old
     /// `any(|j| j.preempting)` scan, maintained incrementally).
     pub(crate) preempting: usize,

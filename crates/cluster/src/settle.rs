@@ -7,8 +7,8 @@ use capuchin_sim::{CopyDir, Time};
 use crate::admission::AdmissionSource;
 use crate::cluster::Cluster;
 use crate::session::copy_label::{CHECKPOINT, RESTORE};
-use crate::session::{EventKind, JobRun, Phase, Session};
-use crate::strategy::{aging_permille, StrategyKind};
+use crate::session::{EventKind, Phase, Session};
+use crate::strategy::{aging_permille, pick_victim, ResidentView, StrategyKind};
 
 impl Cluster {
     /// One settle pass after a state change — runs after every
@@ -44,7 +44,23 @@ impl Cluster {
         // keeps victim selection honest about headroom. Aging makes the
         // victim choice clock-dependent, so this pass never skips.
         if self.cfg.preemption && s.preempting == 0 {
-            if let Some(victim) = pick_preemption(s, now, self.cfg.aging_rate, self.cfg.slo_aware) {
+            let (jobs, slo_aware) = (&s.jobs, self.cfg.slo_aware);
+            let waiters = s.pending.values().copied();
+            let waiters = waiters
+                .filter(|&p| !matches!(jobs[p].phase, Phase::Preempted { .. }))
+                .map(|p| jobs[p].stamped(p, now, slo_aware));
+            let residents = s.resident_jobs.iter().copied();
+            let residents = residents
+                .filter(|&v| jobs[v].serving.is_none() && matches!(jobs[v].phase, Phase::Running))
+                .map(|v| ResidentView {
+                    job: v,
+                    priority: jobs[v].spec.priority,
+                    reserved: jobs[v].reserved,
+                    gpus: &jobs[v].gpus_held,
+                });
+            let aging = aging_permille(self.cfg.aging_rate);
+            let work = &mut s.counters;
+            if let Some(victim) = pick_victim(waiters, residents, &s.pool, now, aging, work) {
                 // The whole gang checkpoints or none: every replica's
                 // reservation is copied out.
                 let dev = &self.cfg.spec;
@@ -71,20 +87,18 @@ impl Cluster {
             if floor.is_none_or(|t| t > cap) {
                 break;
             }
-            let stamped = |j: usize| s.jobs[j].stamped(j, now, slo_aware);
-            let picked = match kind {
+            let stamped = |&j: &usize| s.jobs[j].stamped(j, now, slo_aware);
+            let work = &mut s.counters;
+            let picked = if kind == StrategyKind::FifoFirstFit {
                 // Head-of-line blocking: only the oldest waiter counts.
-                StrategyKind::FifoFirstFit => {
-                    let head = s.pending.values().next().map(|&j| stamped(j));
-                    kind.pick(head, &s.pool, now, aging)
-                }
+                let head = s.pending.values().next().map(stamped);
+                kind.pick(head, &s.pool, now, aging, work)
+            } else {
                 // Best-fit's pick ignores candidate order and candidates
                 // that fit nowhere, so a threshold-index range feeds it
                 // only those whose threshold clears some device.
-                StrategyKind::BestFit => {
-                    let eligible = s.by_threshold.range(..=(cap, u64::MAX));
-                    kind.pick(eligible.map(|(_, &j)| stamped(j)), &s.pool, now, aging)
-                }
+                let eligible = s.by_threshold.range(..=(cap, u64::MAX)).map(|(_, j)| j);
+                kind.pick(eligible.map(stamped), &s.pool, now, aging, work)
             };
             let Some((job, gang)) = picked else {
                 break;
@@ -167,87 +181,4 @@ impl Cluster {
         s.admit(job, gang, budget, batch, now);
         true
     }
-}
-
-/// Selects a preemption victim, or `None` when preemption cannot help.
-///
-/// For each *fresh* waiting job (checkpointed jobs queue for natural
-/// space — letting them preempt would ping-pong), in placement rank order
-/// ([`crate::CandidateJob::rank`]): if its gang fits nowhere
-/// as-is, look for the lowest-static-priority iterating resident whose
-/// eviction would open enough headroom for the waiter's full gang width,
-/// with the victim's priority strictly below the waiter's effective
-/// priority. A victim gang is evicted whole — releasing its reservation
-/// on *every* device it holds — or not at all.
-fn pick_preemption(s: &Session, now: Time, aging_rate: f64, slo_aware: bool) -> Option<usize> {
-    let jobs = &s.jobs;
-    let aging = aging_permille(aging_rate);
-    // Would evicting `victim` open enough devices for waiter `jp`'s full
-    // gang? The fit predicate is monotone in headroom (a per-waiter
-    // threshold, see [`crate::CandidateJob::fit_threshold`]), so the base
-    // count is one index probe; the victim's held devices — the only
-    // ones whose headroom the eviction changes, disjoint from the base
-    // count since they sit below the threshold — are then credited
-    // individually.
-    let gang_fits = |jp: &JobRun, victim: Option<usize>| {
-        let cand = jp.candidate(0);
-        let Some(t) = cand.fit_threshold() else {
-            // A failed budget at or above the full need: no headroom,
-            // freed or not, can ever satisfy this waiter.
-            return false;
-        };
-        let width = jp.width();
-        let base = s.pool.count_at_least(t, width);
-        if base >= width {
-            return true;
-        }
-        let Some(v) = victim else { return false };
-        let vres = jobs[v].reserved;
-        let credited = jobs[v]
-            .gpus_held
-            .iter()
-            .filter(|&&g| {
-                let h = s.pool.headroom(g);
-                h < t && h + vres >= t
-            })
-            .count();
-        base + credited >= width
-    };
-    // Waiters in placement rank order. A waiter's urgency includes its
-    // SLO boost: a latency job with requests burning slack can evict
-    // where its static priority alone could not.
-    let mut waiters: Vec<_> = s
-        .pending
-        .values()
-        .copied()
-        .filter(|&p| !matches!(jobs[p].phase, Phase::Preempted { .. }))
-        .map(|p| (jobs[p].stamped(p, now, slo_aware).rank(now, aging), p))
-        .collect();
-    waiters.sort_unstable_by(|a, b| b.cmp(a));
-    for &((ep, ..), p) in &waiters {
-        let jp = &jobs[p];
-        if gang_fits(jp, None) {
-            // Placeable without violence; the pick just chose not to
-            // (e.g. FIFO head-of-line). Preemption is not the tool.
-            continue;
-        }
-        // Serving residents are never victims: checkpoint-preempting a
-        // serving job mid-request would strand its in-flight latencies
-        // behind a host round-trip the SLO never priced.
-        let mut victims: Vec<usize> = s
-            .resident_jobs
-            .iter()
-            .copied()
-            .filter(|&v| jobs[v].serving.is_none())
-            .filter(|&v| matches!(jobs[v].phase, Phase::Running))
-            .filter(|&v| (jobs[v].spec.priority as u128) * 1000 < ep)
-            .collect();
-        victims.sort_by_key(|&v| (jobs[v].spec.priority, v));
-        for &v in &victims {
-            if gang_fits(jp, Some(v)) {
-                return Some(v);
-            }
-        }
-    }
-    None
 }

@@ -1,4 +1,5 @@
-//! Placement: which waiting job goes next, and onto which GPUs.
+//! Placement: which waiting job goes next, and onto which GPUs; and
+//! preemption: which resident a waiter may evict.
 //!
 //! [`StrategyKind::pick`] looks at waiting candidates and the per-GPU
 //! headroom and names the next placement: a job plus the full set of
@@ -10,13 +11,15 @@
 //! partial reservation that deadlocks against another job.
 //!
 //! Picks probe the [`GpuPool`] headroom index (O(log gpus) per device
-//! query) and read candidates lazily from an iterator.
-//! [`StrategyKind::gang`] is the per-candidate half, which the elastic
-//! pass calls directly for its ladder probes. `prop_scale` diffs both
-//! strategies against a brute-force re-scan kept in that test.
+//! query) and read candidates once from an iterator: best-fit is one
+//! scan for the highest-ranked candidate whose gang exists, and the gang
+//! search runs on that winner only. [`StrategyKind::gang`] is the
+//! per-candidate half, which the elastic pass calls directly for its
+//! ladder probes. [`pick_victim`] is the preemption pass's choice, over
+//! the same rank order. `prop_scale` diffs both strategies and the victim
+//! choice against brute-force re-scans kept in that test.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use capuchin_sim::{Duration, Time};
 
@@ -65,6 +68,15 @@ impl CandidateJob {
         }
     }
 
+    /// Whether `pool` has this job's gang width of devices clearing its
+    /// fit threshold: exactly when either strategy's
+    /// [`StrategyKind::gang`] exists, since best-fit falls back to
+    /// devices across domains. One index probe, no gang search.
+    pub fn fits(&self, pool: &GpuPool) -> bool {
+        let k = self.gpus.max(1);
+        matches!(self.fit_threshold(), Some(t) if pool.count_at_least(t, k) >= k)
+    }
+
     /// Rank key of a waiting job, compared descending: effective priority
     /// (aged by `aging_permille` per second since `arrival`) plus the SLO
     /// boost, then raw priority, then earlier queue entry, then lower job
@@ -94,11 +106,16 @@ pub fn aging_permille(aging_rate: f64) -> u64 {
 
 /// Effective priority in permille fixed point:
 /// `priority × 1000 + aging_permille × waited_seconds`, computed exactly
-/// over nanoseconds in u128 so comparisons are total and
-/// platform-independent (the old `f64` compare could tie-break
-/// differently across platforms once waits grew large).
+/// over nanoseconds so comparisons are total and platform-independent
+/// (the old `f64` compare could tie-break differently across platforms
+/// once waits grew large). The product is divided in u64 when it fits
+/// and in u128 when it does not; both give the same floor.
 pub fn effective_priority_permille(priority: u32, aging_permille: u64, waited: Duration) -> u128 {
-    let aged = (aging_permille as u128).saturating_mul(waited.as_nanos() as u128) / 1_000_000_000;
+    let ns = waited.as_nanos();
+    let aged = match aging_permille.checked_mul(ns) {
+        Some(product) => (product / 1_000_000_000) as u128,
+        None => aging_permille as u128 * ns as u128 / 1_000_000_000,
+    };
     (priority as u128) * 1000 + aged
 }
 
@@ -152,44 +169,39 @@ impl StrategyKind {
     /// Picks the next placement among `cands`: `(job, gpus)` with exactly
     /// the job's gang width of distinct fitting GPUs, or `None` to wait.
     /// The cluster reserves every returned GPU atomically — all or none.
+    /// `work` counts the pick and the candidates it read.
     ///
     /// FIFO reads only the first candidate, so a long backlog costs
-    /// nothing to probe. Best-fit drops the candidates whose threshold
-    /// clears no device, then pops the rest lazily from a heap in rank
-    /// order (see [`StrategyKind::BestFit`]; priorities age by
-    /// `aging_permille` per second waited) until one gets a gang. The job
-    /// index breaks every tie, so its pick depends neither on candidate
-    /// order nor on candidates that fit nowhere being left out.
+    /// nothing to probe. Best-fit scans the candidates once for the
+    /// highest-ranked one (see [`StrategyKind::BestFit`]; priorities age
+    /// by `aging_permille` per second waited) whose gang exists
+    /// ([`CandidateJob::fits`]). The device count is probed only for a
+    /// candidate that outranks the best so far, and the gang search runs
+    /// once, on the winner. The job index breaks every tie, so the pick depends
+    /// neither on candidate order nor on candidates that fit nowhere
+    /// being left out.
     pub fn pick(
         self,
         cands: impl IntoIterator<Item = CandidateJob>,
         pool: &GpuPool,
         now: Time,
         aging_permille: u64,
+        work: &mut SettleCounters,
     ) -> Option<(usize, Vec<usize>)> {
-        let mut cands = cands.into_iter();
+        work.picks += 1;
+        let mut cands = cands.into_iter().inspect(|_| work.candidates += 1);
         if self == StrategyKind::FifoFirstFit {
             let head = cands.next()?;
             return Some((head.job, self.gang(&head, pool)?));
         }
-        // Rank keys are computed once and popped lazily, so the common
-        // cases are cheap: a no-fit probe is one scan with no sort, and a
-        // first-candidate hit is a heapify plus a single pop.
-        let cap = pool.max_headroom();
-        let eligible: Vec<CandidateJob> = cands
-            .filter(|c| c.fit_threshold().is_some_and(|t| t <= cap))
-            .collect();
-        let mut ranked: BinaryHeap<(RankKey, usize)> = eligible
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.rank(now, aging_permille), i))
-            .collect();
-        while let Some((_, i)) = ranked.pop() {
-            if let Some(gang) = self.gang(&eligible[i], pool) {
-                return Some((eligible[i].job, gang));
+        let mut best: Option<(RankKey, CandidateJob)> = None;
+        for c in cands {
+            let key = c.rank(now, aging_permille);
+            if best.as_ref().is_none_or(|(b, _)| key > *b) && c.fits(pool) {
+                best = Some((key, c));
             }
         }
-        None
+        best.and_then(|(_, c)| Some((c.job, self.gang(&c, pool)?)))
     }
 
     /// The GPUs this strategy gives `cand` on the current pool, or `None`
@@ -254,6 +266,98 @@ fn tightest_gang(pool: &GpuPool, threshold: u64, k: usize, full_need: u64) -> Op
     })
 }
 
+/// A running, non-serving resident as the preemption pass sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct ResidentView<'a> {
+    /// Job index in the cluster's submission order.
+    pub job: usize,
+    /// Static priority from the job spec.
+    pub priority: u32,
+    /// Per-replica reservation its eviction frees on every held device.
+    pub reserved: u64,
+    /// The devices its gang holds.
+    pub gpus: &'a [usize],
+}
+
+/// Integer work counters of the settle passes, summed over a session.
+/// They count what the passes examined, not time, so same-seed runs read
+/// the same. They stay out of [`crate::ClusterStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SettleCounters {
+    /// Placement picks made.
+    pub picks: u64,
+    /// Waiting candidates those picks read.
+    pub candidates: u64,
+    /// Preemption victim searches ([`pick_victim`] calls).
+    pub preemption_checks: u64,
+    /// Waiters those searches examined.
+    pub waiters: u64,
+    /// Victims probed against a waiter's gang.
+    pub victim_probes: u64,
+}
+
+/// Selects a preemption victim, or `None` when preemption cannot help.
+///
+/// `waiters` are the fresh waiting jobs (a checkpointed job queues for
+/// natural space; letting it preempt would ping-pong), `residents` the
+/// running, non-serving residents (checkpointing a serving job
+/// mid-request would strand its in-flight latencies). For each waiter,
+/// in the order [`StrategyKind::BestFit`] tries them (SLO boost included):
+/// if its gang fits nowhere as-is, the lowest-static-priority resident
+/// (ties to the lower job index) whose eviction would open enough
+/// devices for the waiter's full gang wins, provided its priority × 1000
+/// sits strictly below the waiter's effective priority. A victim gang is
+/// evicted whole or not at all.
+///
+/// Residents are read only once a waiter needs a victim, and sorted once
+/// by `(priority, job)`; each waiter walks the prefix its effective
+/// priority admits. The fit predicate is monotone in headroom, so a
+/// waiter's base count is one index probe, and a victim's held devices,
+/// the only ones its eviction changes (all below the threshold, so
+/// disjoint from the base count), are credited one by one.
+pub fn pick_victim<'a>(
+    waiters: impl IntoIterator<Item = CandidateJob>,
+    residents: impl IntoIterator<Item = ResidentView<'a>>,
+    pool: &GpuPool,
+    now: Time,
+    aging_permille: u64,
+    work: &mut SettleCounters,
+) -> Option<usize> {
+    work.preemption_checks += 1;
+    let ranked = |c: CandidateJob| (c.rank(now, aging_permille), c);
+    let mut waiters: Vec<_> = waiters.into_iter().map(ranked).collect();
+    waiters.sort_unstable_by_key(|&(key, _)| Reverse(key));
+    let (mut residents, mut victims) = (Some(residents), Vec::new());
+    for ((ep, ..), w) in waiters {
+        work.waiters += 1;
+        // A failed budget at or above the full need: no headroom, freed
+        // or not, can ever satisfy this waiter.
+        let Some(t) = w.fit_threshold() else { continue };
+        let width = w.gpus.max(1);
+        let base = pool.count_at_least(t, width);
+        if base >= width {
+            // Placeable without violence; the pick just chose not to
+            // (e.g. FIFO head-of-line). Preemption is not the tool.
+            continue;
+        }
+        if let Some(r) = residents.take() {
+            victims.extend(r);
+            victims.sort_unstable_by_key(|v: &ResidentView| (v.priority, v.job));
+        }
+        let outranked = |v: &&ResidentView| (v.priority as u128) * 1000 < ep;
+        for v in victims.iter().take_while(outranked) {
+            work.victim_probes += 1;
+            // Held devices just below the threshold that the eviction lifts.
+            let up = t.saturating_sub(v.reserved)..t;
+            let freed = v.gpus.iter().filter(|&&g| up.contains(&pool.headroom(g)));
+            if base + freed.count() >= width {
+                return Some(v.job);
+            }
+        }
+    }
+    None
+}
+
 impl std::fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -304,10 +408,40 @@ mod tests {
             effective_priority_permille(0, 100, Duration::from_nanos(19)),
             0
         );
-        // Extreme waits stay exact in u128 instead of losing precision.
+        // Extreme waits fall back to u128 instead of losing precision.
         assert_eq!(
             effective_priority_permille(u32::MAX, u64::MAX, Duration::from_nanos(u64::MAX)),
             u32::MAX as u128 * 1000 + (u64::MAX as u128 * u64::MAX as u128) / 1_000_000_000
         );
+    }
+
+    /// The u64 fast path and the u128 fallback meet at the largest wait
+    /// whose product with the rate fits in u64; on both sides of it the
+    /// result equals the u128 formula.
+    #[test]
+    fn aging_is_exact_on_both_sides_of_the_u64_overflow() {
+        let u128_formula =
+            |p: u32, a: u64, ns: u64| p as u128 * 1000 + a as u128 * ns as u128 / 1_000_000_000;
+        for a in [2u64, 7, 100, 1000, 999_999_937, u64::MAX] {
+            let edge = u64::MAX / a;
+            assert!(a.checked_mul(edge).is_some() && a.checked_mul(edge + 1).is_none());
+            for ns in [
+                0,
+                1,
+                edge - 1,
+                edge,
+                edge + 1,
+                edge.saturating_add(1 << 20),
+                u64::MAX,
+            ] {
+                for p in [0u32, 3, u32::MAX] {
+                    assert_eq!(
+                        effective_priority_permille(p, a, Duration::from_nanos(ns)),
+                        u128_formula(p, a, ns),
+                        "priority {p}, rate {a}, waited {ns} ns"
+                    );
+                }
+            }
+        }
     }
 }

@@ -20,12 +20,16 @@
 //!    must reproduce the full-queue pick exactly.
 //! 4. **Same-seed determinism at scale** — a 64-GPU / 2k-job mixed
 //!    workload over every scheduling feature produces byte-identical
-//!    stats JSON run to run.
+//!    stats JSON and identical settle work counters run to run.
+//! 5. **Victim = brute victim** — [`pick_victim`] names the same resident
+//!    as [`victim_brute`], the pre-index preemption choice that ranks
+//!    every waiter, then filters and sorts the residents per waiter and
+//!    counts fitting devices by scanning.
 //!
 //! The hand-written cases below pin the strategies' semantics through
 //! [`pick_both`], which runs both paths and asserts they agree.
 
-use capuchin_cluster::strategy::slo_boost_permille;
+use capuchin_cluster::strategy::{pick_victim, slo_boost_permille, ResidentView, SettleCounters};
 use capuchin_cluster::{
     aging_permille, effective_priority_permille, AdmissionMode, CandidateJob, Cluster,
     ClusterConfig, GpuPool, StrategyKind,
@@ -153,6 +157,61 @@ fn pick_brute(
     None
 }
 
+/// A resident the brute-force victim reference may evict.
+#[derive(Debug, Clone)]
+struct Resident {
+    job: usize,
+    priority: u32,
+    reserved: u64,
+    /// Distinct devices the resident holds.
+    gpus: Vec<usize>,
+}
+
+/// The pre-index preemption choice: rank every waiter; for each one that
+/// fits nowhere as-is, filter the residents its effective priority
+/// outranks, sort them by `(priority, job)` and take the first whose
+/// eviction opens its full gang, counting fitting devices by scanning.
+fn victim_brute(
+    aging_rate: f64,
+    waiters: &[CandidateJob],
+    residents: &[Resident],
+    gpus: &[GpuView],
+    now: Time,
+) -> Option<usize> {
+    let permille = aging_permille(aging_rate);
+    let fits = |w: &CandidateJob, freed: Option<&Resident>| {
+        let Some(t) = w.fit_threshold() else {
+            return false;
+        };
+        let credit = |g: &GpuView| match freed {
+            Some(v) if v.gpus.contains(&g.idx) => v.reserved,
+            _ => 0,
+        };
+        let count = gpus
+            .iter()
+            .filter(|g| g.headroom() + credit(g) >= t)
+            .count();
+        count >= w.gpus.max(1)
+    };
+    for w in ranked(aging_rate, waiters, now) {
+        if fits(&w, None) {
+            continue;
+        }
+        let waited = now.saturating_since(w.arrival);
+        let ep =
+            effective_priority_permille(w.priority, permille, waited) + w.boost_permille as u128;
+        let mut victims: Vec<&Resident> = residents
+            .iter()
+            .filter(|v| (v.priority as u128) * 1000 < ep)
+            .collect();
+        victims.sort_by_key(|v| (v.priority, v.job));
+        if let Some(v) = victims.into_iter().find(|v| fits(&w, Some(v))) {
+            return Some(v.job);
+        }
+    }
+    None
+}
+
 /// Candidate knobs: `(priority, arrival slot, gang width, full-need
 /// eighths, min-need eighths, failed-budget eighths)`. Eighths are scaled
 /// against the capacity menu below so thresholds land on, above and below
@@ -247,7 +306,11 @@ proptest! {
         let now = Time::from_micros(now_slot * 500_000);
         let permille = aging_permille(aging);
         for kind in [StrategyKind::FifoFirstFit, StrategyKind::BestFit] {
-            let indexed = kind.pick(pending.iter().copied(), &pool, now, permille);
+            let mut work = SettleCounters::default();
+            let indexed = kind.pick(pending.iter().copied(), &pool, now, permille, &mut work);
+            // FIFO reads the head only; best-fit reads every candidate once.
+            let read = if kind == StrategyKind::BestFit { pending.len() } else { pending.len().min(1) };
+            prop_assert_eq!((work.picks, work.candidates), (1, read as u64));
             let brute = pick_brute(kind, aging, &pending, &views, now, &threshold_fits);
             prop_assert_eq!(
                 indexed.clone(), brute,
@@ -256,11 +319,13 @@ proptest! {
             // Picks are pure: the same inputs reproduce the same answer
             // (what makes the cluster's generation-keyed memoization of
             // ladder gang probes sound).
-            let again = kind.pick(pending.iter().copied(), &pool, now, permille);
+            let again = kind.pick(pending.iter().copied(), &pool, now, permille, &mut work);
             prop_assert_eq!(indexed, again, "{}: pick is not a pure function", kind);
-            // The gang chooser alone is a one-candidate pick.
+            // The gang chooser alone is a one-candidate pick, and it
+            // finds a gang exactly when the one-probe fit test says so.
             for c in &pending {
                 let brute = pick_brute(kind, aging, &[*c], &views, now, &threshold_fits);
+                prop_assert_eq!(c.fits(&pool), brute.is_some());
                 prop_assert_eq!(kind.gang(c, &pool).map(|g| (c.job, g)), brute);
             }
         }
@@ -276,9 +341,68 @@ proptest! {
             .filter_map(|c| c.fit_threshold().filter(|&t| t <= cap).map(|t| (t, c.job)))
             .collect();
         eligible.sort_unstable();
-        let full = best.pick(pending.iter().copied(), &pool, now, permille);
-        let subset = best.pick(eligible.iter().map(|&(_, j)| pending[j]), &pool, now, permille);
+        let mut work = SettleCounters::default();
+        let full = best.pick(pending.iter().copied(), &pool, now, permille, &mut work);
+        let subset = best.pick(eligible.iter().map(|&(_, j)| pending[j]), &pool, now, permille, &mut work);
         prop_assert_eq!(full, subset, "eligible-subset pick diverged from full-queue pick");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// (5) The victim choice equals the brute-force reference on
+    /// arbitrary pools, waiters (SLO boosts included) and residents.
+    #[test]
+    fn victim_choice_matches_sort_every_waiter_reference(
+        shape in prop::collection::vec((0usize..CAPS.len(), 0usize..4, 0u8..9), 1..12),
+        knobs in prop::collection::vec(
+            (0u32..4, 0u64..8, 1usize..5, 0u8..9, 0u8..9, (0u8..10).prop_map(|v| v.checked_sub(1))),
+            0..8,
+        ),
+        boosts in prop::collection::vec(prop_oneof![Just(0u64), 0u64..2001], 8..9),
+        // (priority, reserved eighths, held devices before dedup)
+        held in prop::collection::vec(
+            (0u32..5, 0u8..9, prop::collection::vec(0usize..16, 1..4)),
+            0..8,
+        ),
+        aging in prop_oneof![Just(0.0), Just(0.1), Just(1.0)],
+        now_slot in 0u64..16,
+    ) {
+        let caps: Vec<u64> = shape.iter().map(|&(c, _, _)| CAPS[c]).collect();
+        let mut pool = GpuPool::new(caps.clone(), shape.iter().map(|&(_, d, _)| d).collect());
+        for (g, &(_, _, eighths)) in shape.iter().enumerate() {
+            pool.set_reserved(g, caps[g] * eighths as u64 / 8);
+        }
+        let mut waiters = candidates_from(&knobs);
+        for (w, &b) in waiters.iter_mut().zip(&boosts) {
+            w.boost_permille = b;
+        }
+        let residents: Vec<Resident> = held
+            .iter()
+            .enumerate()
+            .map(|(i, (priority, eighths, devs))| {
+                let mut gpus: Vec<usize> = devs.iter().map(|&g| g % caps.len()).collect();
+                gpus.sort_unstable();
+                gpus.dedup();
+                Resident { job: 100 + i, priority: *priority, reserved: 16 * *eighths as u64, gpus }
+            })
+            .collect();
+        let now = Time::from_micros(now_slot * 500_000);
+        // Residents arrive in reverse job order: the choice must not
+        // depend on it.
+        let views_of = residents.iter().rev().map(|r| ResidentView {
+            job: r.job,
+            priority: r.priority,
+            reserved: r.reserved,
+            gpus: &r.gpus,
+        });
+        let mut work = SettleCounters::default();
+        let got = pick_victim(waiters.iter().copied(), views_of, &pool, now, aging_permille(aging), &mut work);
+        let want = victim_brute(aging, &waiters, &residents, &views(&pool), now);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(work.preemption_checks, 1);
+        prop_assert!(work.waiters <= waiters.len() as u64);
     }
 }
 
@@ -298,9 +422,14 @@ fn same_seed_mixed_scale_run_is_byte_identical() {
             .build()
             .expect("valid scale config")
     };
-    let a = Cluster::new(cfg()).run(&jobs);
-    let b = Cluster::new(cfg()).run(&jobs);
+    let (mut ca, mut cb) = (Cluster::new(cfg()), Cluster::new(cfg()));
+    let (a, b) = (ca.run(&jobs), cb.run(&jobs));
     assert_eq!(a.to_json(), b.to_json());
+    // The settle work counters are as deterministic as the stats.
+    let work = ca.settle_counters();
+    assert_eq!(work, cb.settle_counters());
+    assert!(work.picks > 0 && work.candidates >= work.picks, "{work:?}");
+    assert!(work.preemption_checks > 0, "{work:?}");
     assert!(
         a.jobs.len() == 2_000,
         "every submitted job must appear in the stats"
@@ -360,7 +489,13 @@ fn pick_both(
     now: Time,
 ) -> Option<(usize, Vec<usize>)> {
     let pool = pool_of(gpus);
-    let indexed = kind.pick(pending.iter().copied(), &pool, now, aging_permille(aging));
+    let indexed = kind.pick(
+        pending.iter().copied(),
+        &pool,
+        now,
+        aging_permille(aging),
+        &mut SettleCounters::default(),
+    );
     let brute = pick_brute(kind, aging, pending, gpus, now, &threshold_fits);
     assert_eq!(indexed, brute, "indexed pick diverged from brute scan");
     indexed
@@ -469,4 +604,61 @@ fn slo_boost_outranks_equal_priority_and_is_capped() {
     // its capped two points.
     let urgent = [cand(1, 0, 4, 10), boosted];
     assert_eq!(pick_both(BEST, &urgent, &gpus, T0), Some((1, vec![0])));
+}
+
+/// Runs [`pick_victim`] and asserts it matches [`victim_brute`].
+fn victim_both(
+    aging: f64,
+    waiters: &[CandidateJob],
+    residents: &[Resident],
+    gpus: &[GpuView],
+    now: Time,
+) -> Option<usize> {
+    let views = residents.iter().map(|r| ResidentView {
+        job: r.job,
+        priority: r.priority,
+        reserved: r.reserved,
+        gpus: &r.gpus,
+    });
+    let mut work = SettleCounters::default();
+    let pool = pool_of(gpus);
+    let got = pick_victim(
+        waiters.iter().copied(),
+        views,
+        &pool,
+        now,
+        aging_permille(aging),
+        &mut work,
+    );
+    assert_eq!(got, victim_brute(aging, waiters, residents, gpus, now));
+    got
+}
+
+#[test]
+fn a_victim_needs_strictly_lower_priority_and_must_open_the_gang() {
+    let resident = |job, priority, gpus: &[usize]| Resident {
+        job,
+        priority,
+        reserved: 60,
+        gpus: gpus.to_vec(),
+    };
+    // Two full 64-byte devices; the waiter needs 50 on each of two.
+    let gpus = [gpu(0, 64, 60), gpu(1, 64, 60)];
+    let waiter = [gang(0, 2, 50)];
+    // Equal priority is never evicted; one device freed is not a gang.
+    let equal = [resident(10, 0, &[0, 1])];
+    assert_eq!(victim_both(0.0, &waiter, &equal, &gpus, T0), None);
+    let half = [resident(11, 0, &[0])];
+    let urgent = [CandidateJob {
+        priority: 1,
+        ..waiter[0]
+    }];
+    assert_eq!(victim_both(0.0, &urgent, &half, &gpus, T0), None);
+    // A whole-gang victim of lower priority opens both devices; among
+    // equal priorities the lower job index goes first.
+    let both = [resident(13, 0, &[0, 1]), resident(12, 0, &[0, 1])];
+    assert_eq!(victim_both(0.0, &urgent, &both, &gpus, T0), Some(12));
+    // A waiter that fits as-is evicts nobody.
+    let roomy = [gpu(0, 64, 0), gpu(1, 64, 0)];
+    assert_eq!(victim_both(0.0, &urgent, &both, &roomy, T0), None);
 }
