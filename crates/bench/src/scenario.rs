@@ -374,8 +374,12 @@ pub struct Gate {
 /// The smoke gates: the scale row's warm host time per job within 2×
 /// (machines differ; asymptotic regressions do not hide inside 2×; the
 /// cold warm-up is reported apart, so its noise stays out), warm predicted
-/// admission charging no more validation runs than committed (0), and
-/// the contended mixed row's SLO attainment at the committed floor.
+/// admission charging no more validation runs than committed (0), the
+/// contended mixed row's SLO attainment at the committed floor, and the
+/// scale row's dispatched events and settle candidates read at most the
+/// committed counts. The two counts are exact for a fixed seed, so they
+/// catch a scheduling-work regression whatever the host load; a missing
+/// count reads as NaN and fails.
 pub const GATES: &[Gate] = &[
     Gate {
         scenario: "scale",
@@ -399,6 +403,22 @@ pub const GATES: &[Gate] = &[
         column: "attainment_permille",
         value: |r| r.attainment_permille as f64,
         better: Better::Higher,
+        bound: 1.0,
+    },
+    Gate {
+        scenario: "scale",
+        label: "smoke",
+        column: "events",
+        value: |r| r.events as f64,
+        better: Better::Lower,
+        bound: 1.0,
+    },
+    Gate {
+        scenario: "scale",
+        label: "smoke",
+        column: "candidates",
+        value: |r| r.candidates.map_or(f64::NAN, |c| c as f64),
+        better: Better::Lower,
         bound: 1.0,
     },
 ];
@@ -591,8 +611,7 @@ fn elastic(_smoke: bool) -> Vec<Case> {
             let cfg = ClusterConfig::builder()
                 .gpus(gpus)
                 .admission(AdmissionMode::TfOri)
-                .elastic(on)
-                .min_batch_fraction(0.25);
+                .elastic(on);
             cases.push(case(format!("{shape}{mode}"), cfg, &jobs));
         }
     }
@@ -1049,6 +1068,7 @@ mod tests {
         };
         (row.us_per_job, row.validation_runs, row.attainment_permille) =
             (value, value as u64, value as u64);
+        (row.events, row.candidates) = (value as u64, Some(value as u64));
         row
     }
 

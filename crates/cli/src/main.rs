@@ -35,19 +35,17 @@ USAGE:
     capuchin-cli cluster   (--jobs <file> | --synthetic <n> | --mixed <n>)
                            [--seed <s>] [--mean-interarrival <secs>]
                            [--gpus <n>] [--memory ...] [--admission tf-ori|capuchin]
-                           [--strategy fifo|best-fit] [--aging-rate <r>]
-                           [--preemption on|off] [--interconnect off|pcie|peer<k>]
-                           [--elastic on|off] [--min-batch-frac <f>]
+                           [--strategy fifo|best-fit] [--preemption on|off]
+                           [--interconnect off|pcie|peer<k>] [--elastic on|off]
                            [--slo-aware on|off] [--predictive on|off]
-                           [--safety-margin <permille>] [--min-samples <n>]
+                           [--min-samples <n>]
                            [--out <file>] [--transfer-trace <file>]
     capuchin-cli serve     [--addr <host:port>] [--clock virtual|wall]
                            [--gpus <n>] [--memory ...] [--admission ...]
-                           [--strategy ...] [--aging-rate <r>]
-                           [--preemption on|off] [--interconnect ...]
-                           [--elastic on|off] [--min-batch-frac <f>]
+                           [--strategy ...] [--preemption on|off]
+                           [--interconnect ...] [--elastic on|off]
                            [--slo-aware on|off] [--predictive on|off]
-                           [--safety-margin <permille>] [--min-samples <n>]
+                           [--min-samples <n>]
 
 ";
 
@@ -66,25 +64,27 @@ CLUSTER:   schedules a multi-job workload over N simulated GPUs and prints
            --mixed generates a scale-bench workload (rigid singles,
            gangs, and elastic jobs mixed; gangs sized to the cluster).
            --elastic on lets jobs marked \"elastic\": true in the file
-           start at a reduced batch when the cluster is full (floored at
-           --min-batch-frac of the requested batch, default 0.25) and
-           re-grow when headroom frees; total samples trained per job is
-           preserved exactly.
+           start at a reduced batch when the cluster is full (down to a
+           quarter of the requested batch, rounded up) and re-grow when
+           headroom frees; total samples trained per job is preserved
+           exactly.
            A job with \"class\": \"inference\" serves requests instead of
            training: it needs \"request_rate\" (req/s, > 0), \"slo_ms\"
            (> 0) and \"requests\" (> 0), plus optional
            \"kv_bytes_per_request\" and \"max_inflight\"; it cannot be
            elastic, and its gang cannot exceed one link domain.
+           --strategy best-fit ages a waiting job's priority by 0.1
+           points per second waited.
            --slo-aware off disables the latency-SLO priority boost
            (the SLO-blind baseline; default on)
            --predictive on admits returning (model, policy, class)
            families from a fitted footprint predictor instead of a
            measured iteration: once a key has --min-samples completed
            runs (default 3), later arrivals are granted the predicted
-           footprint padded by --safety-margin (permille, default 1150
-           = +15%) and charge zero validation-engine runs; a prediction
-           caught under-shooting at an iteration boundary is recovered
-           by checkpoint-preemption and measured re-admission.
+           footprint padded by 15% and charge zero validation-engine
+           runs; a prediction caught under-shooting at an iteration
+           boundary is recovered by checkpoint-preemption and measured
+           re-admission.
 SERVE:     runs the same scheduler as a long-lived daemon speaking
            line-delimited JSON over TCP (submit/cancel/status/stats/
            subscribe/drain/shutdown). --addr defaults to 127.0.0.1:7070
@@ -394,35 +394,31 @@ fn cmd_plan(args: &Args) {
     }
 }
 
+/// The `cluster` command's flags beyond [`ClusterConfig::FLAGS`].
+const JOB_FLAGS: &[&str] = &[
+    "jobs",
+    "synthetic",
+    "mixed",
+    "seed",
+    "mean-interarrival",
+    "transfer-trace",
+    "out",
+];
+
 fn cmd_cluster(args: &Args) {
-    const JOB_FLAGS: &[&str] = &[
-        "jobs",
-        "synthetic",
-        "mixed",
-        "seed",
-        "mean-interarrival",
-        "transfer-trace",
-        "out",
-    ];
     let accepted: Vec<&str> = ClusterConfig::FLAGS
         .iter()
         .chain(JOB_FLAGS)
         .copied()
         .collect();
     args.expect_only(&accepted);
-    // The cluster shape first: job files are validated against its size,
-    // elastic floor and link-domain width.
+    // The cluster shape first: job files are validated against its size
+    // and link-domain width.
     let cfg = ClusterConfig::from_flags(&args.flags).unwrap_or_else(|e| fail(&e));
     let jobs = if let Some(path) = args.flags.get("jobs") {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read job file `{path}`: {e}")));
-        load_jobs(
-            &text,
-            cfg.gpus,
-            cfg.min_batch_fraction,
-            cfg.link_domain_gpus(),
-        )
-        .unwrap_or_else(|e| fail(&e.to_string()))
+        load_jobs(&text, cfg.gpus, cfg.link_domain_gpus()).unwrap_or_else(|e| fail(&e.to_string()))
     } else if args.flags.contains_key("synthetic") || args.flags.contains_key("mixed") {
         let (key, mixed) = if args.flags.contains_key("mixed") {
             ("mixed", true)
@@ -582,6 +578,40 @@ mod tests {
                 assert!(policies.contains(name), "POLICIES lacks {name}");
             }
         }
+    }
+
+    /// The three hand-written cluster-flag blocks (`capuchin-cli cluster`,
+    /// `capuchin-cli serve` and `capuchin-serve`) name every
+    /// [`ClusterConfig::FLAGS`] entry and no other cluster flag, beside
+    /// their commands' own flags.
+    #[test]
+    fn usage_blocks_name_exactly_the_cluster_flags() {
+        use std::collections::BTreeSet;
+        let flags_in = |block: &str| -> BTreeSet<String> {
+            let is_flag_char = |c: char| c.is_ascii_lowercase() || c == '-';
+            block
+                .split("--")
+                .skip(1)
+                .map(|w| w[..w.find(|c| !is_flag_char(c)).unwrap_or(w.len())].to_owned())
+                .collect()
+        };
+        let expect = |own: &[&str]| -> BTreeSet<String> {
+            ClusterConfig::FLAGS
+                .iter()
+                .chain(own)
+                .map(|f| f.to_string())
+                .collect()
+        };
+        let (cluster, serve) = USAGE_HEAD
+            .split_once("capuchin-cli serve")
+            .expect("serve block");
+        let cluster = &cluster[cluster.find("capuchin-cli cluster").expect("cluster block")..];
+        let daemon = capuchin_serve::USAGE;
+        let daemon = &daemon[daemon.find("USAGE:").expect("usage block")..];
+        let daemon = &daemon[..daemon.find("\n\n").expect("block end")];
+        assert_eq!(flags_in(cluster), expect(JOB_FLAGS));
+        assert_eq!(flags_in(serve), expect(&["addr", "clock"]));
+        assert_eq!(flags_in(daemon), expect(&["addr", "clock"]));
     }
 
     #[test]

@@ -29,9 +29,6 @@ pub struct ClusterConfig {
     pub admission: AdmissionMode,
     /// Placement strategy.
     pub strategy: StrategyKind,
-    /// Priority-aging rate for best-fit placement (points per waiting
-    /// second).
-    pub aging_rate: f64,
     /// Engine iterations per admission validation run (clamped to the
     /// job's own iteration count; at least 2 so Capuchin completes
     /// measured execution).
@@ -48,13 +45,11 @@ pub struct ClusterConfig {
     /// Elastic re-batching: admit a waiting [`crate::JobSpec::elastic`] job at a
     /// reduced batch when nothing fits at the full batch, and re-grow
     /// resident reduced jobs at completed-iteration boundaries when
-    /// headroom frees up. Total samples trained is always preserved — the
-    /// iteration count extends to cover `batch × iters` samples.
+    /// headroom frees up. A job never shrinks below a quarter of its
+    /// submitted batch ([`capuchin::elastic_batches`]). Total samples
+    /// trained is always preserved — the iteration count extends to
+    /// cover `batch × iters` samples.
     pub elastic: bool,
-    /// Floor of the elastic batch ladder as a fraction of the requested
-    /// batch, in `(0, 1]`: `0.25` means a job never shrinks below a
-    /// quarter of its submitted batch. Ignored with `elastic` off.
-    pub min_batch_fraction: f64,
     /// SLO-aware scheduling: boost a waiting inference job's effective
     /// priority by the fraction of its latency SLO the oldest pending
     /// request has burned ([`crate::strategy::slo_boost_permille`]), in
@@ -65,9 +60,9 @@ pub struct ClusterConfig {
     pub slo_aware: bool,
     /// Predictive admission: once a `(model family, policy, class)` key
     /// has [`ClusterConfig::min_samples`] completed measured runs, admit
-    /// on the regression store's prediction scaled by
-    /// [`ClusterConfig::safety_margin_permille`] — zero measuring and
-    /// zero validation-engine runs. Cold keys fall back to measured
+    /// on the regression store's prediction padded by a fixed 15 % safety
+    /// margin (`predicted.rs`) — zero measuring and zero
+    /// validation-engine runs. Cold keys fall back to measured
     /// admission (and their completions warm the store); an
     /// under-shooting prediction is caught at the job's first completed
     /// iteration boundary and recovered by checkpoint-preempting the job
@@ -75,11 +70,6 @@ pub struct ClusterConfig {
     /// predictor code path runs and stats are byte-identical to the
     /// pre-predictor scheduler.
     pub predictive: bool,
-    /// Multiplier applied to predicted *budget* targets (full and
-    /// minimum reservation), in permille: 1150 reserves 15% above the
-    /// raw prediction. Must be in `[1000, 10000]` — a prediction is
-    /// never scaled down. Ignored with `predictive` off.
-    pub safety_margin_permille: u64,
     /// Completed measured runs a predictor key needs before its
     /// predictions are served (at least 1). Ignored with `predictive`
     /// off.
@@ -93,15 +83,12 @@ impl Default for ClusterConfig {
             spec: DeviceSpec::p100_pcie3(),
             admission: AdmissionMode::Capuchin,
             strategy: StrategyKind::FifoFirstFit,
-            aging_rate: 0.1,
             validate_iters: 6,
             preemption: false,
             interconnect: None,
             elastic: false,
-            min_batch_fraction: 0.25,
             slo_aware: true,
             predictive: false,
-            safety_margin_permille: 1150,
             min_samples: 3,
         }
     }
@@ -122,14 +109,11 @@ impl ClusterConfig {
         "memory",
         "admission",
         "strategy",
-        "aging-rate",
         "preemption",
         "interconnect",
         "elastic",
-        "min-batch-frac",
         "slo-aware",
         "predictive",
-        "safety-margin",
         "min-samples",
     ];
 
@@ -159,19 +143,11 @@ impl ClusterConfig {
                 }
                 "admission" => b.admission(s.parse().map_err(|e| format!("{e}"))?),
                 "strategy" => b.strategy(s.parse().map_err(|e| format!("{e}"))?),
-                "aging-rate" => b.aging_rate(num(s, "--aging-rate must be a number")?),
                 "preemption" => b.preemption(toggle("--preemption", s)?),
                 "interconnect" => b.interconnect(InterconnectSpec::parse(s)?),
                 "elastic" => b.elastic(toggle("--elastic", s)?),
-                "min-batch-frac" => {
-                    b.min_batch_fraction(num(s, "--min-batch-frac must be a fraction in (0, 1]")?)
-                }
                 "slo-aware" => b.slo_aware(toggle("--slo-aware", s)?),
                 "predictive" => b.predictive(toggle("--predictive", s)?),
-                "safety-margin" => b.safety_margin_permille(num(
-                    s,
-                    "--safety-margin must be an integer permille (e.g. 1150)",
-                )?),
                 "min-samples" => b.min_samples(num(s, "--min-samples must be a positive integer")?),
                 _ => b,
             };
@@ -201,20 +177,13 @@ fn toggle(what: &'static str, s: &str) -> Result<bool, String> {
 }
 
 /// Why [`ClusterConfigBuilder::build`] refused a configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A cluster needs at least one GPU.
     NoGpus,
-    /// The priority-aging rate must be finite and non-negative.
-    BadAgingRate(f64),
     /// Validation runs need at least 2 iterations: Capuchin must complete
     /// measured execution before a guided iteration exists to record.
     TooFewValidateIters(u64),
-    /// The elastic batch floor must be a fraction in `(0, 1]`.
-    BadBatchFraction(f64),
-    /// The prediction safety margin must be in `[1000, 10000]` permille —
-    /// predicted budgets are padded, never shaved.
-    BadSafetyMargin(u64),
     /// The predictor needs at least one completed sample per key before
     /// it can fit anything.
     BadMinSamples(u64),
@@ -224,21 +193,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoGpus => write!(f, "cluster needs at least 1 GPU"),
-            ConfigError::BadAgingRate(r) => {
-                write!(f, "aging rate {r} must be finite and >= 0")
-            }
             ConfigError::TooFewValidateIters(n) => write!(
                 f,
                 "validation needs at least 2 iterations, got {n} \
                  (Capuchin records guided iterations only after measured execution)"
-            ),
-            ConfigError::BadBatchFraction(frac) => {
-                write!(f, "min batch fraction {frac} must be in (0, 1]")
-            }
-            ConfigError::BadSafetyMargin(m) => write!(
-                f,
-                "safety margin {m} permille must be in [1000, 10000] \
-                 (predictions are padded, never shaved)"
             ),
             ConfigError::BadMinSamples(n) => {
                 write!(f, "predictor min samples {n} must be at least 1")
@@ -282,12 +240,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Priority-aging rate for best-fit placement.
-    pub fn aging_rate(mut self, aging_rate: f64) -> Self {
-        self.cfg.aging_rate = aging_rate;
-        self
-    }
-
     /// Engine iterations per admission validation run.
     pub fn validate_iters(mut self, validate_iters: u64) -> Self {
         self.cfg.validate_iters = validate_iters;
@@ -312,12 +264,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Floor of the elastic batch ladder, as a fraction in `(0, 1]`.
-    pub fn min_batch_fraction(mut self, min_batch_fraction: f64) -> Self {
-        self.cfg.min_batch_fraction = min_batch_fraction;
-        self
-    }
-
     /// SLO-aware scheduling on/off (`false` = SLO-blind baseline).
     pub fn slo_aware(mut self, slo_aware: bool) -> Self {
         self.cfg.slo_aware = slo_aware;
@@ -327,13 +273,6 @@ impl ClusterConfigBuilder {
     /// Predictive admission on/off.
     pub fn predictive(mut self, predictive: bool) -> Self {
         self.cfg.predictive = predictive;
-        self
-    }
-
-    /// Safety margin applied to predicted budgets, in permille
-    /// (`[1000, 10000]`).
-    pub fn safety_margin_permille(mut self, safety_margin_permille: u64) -> Self {
-        self.cfg.safety_margin_permille = safety_margin_permille;
         self
     }
 
@@ -354,20 +293,8 @@ impl ClusterConfigBuilder {
         if cfg.gpus == 0 {
             return Err(ConfigError::NoGpus);
         }
-        if !cfg.aging_rate.is_finite() || cfg.aging_rate < 0.0 {
-            return Err(ConfigError::BadAgingRate(cfg.aging_rate));
-        }
         if cfg.validate_iters < 2 {
             return Err(ConfigError::TooFewValidateIters(cfg.validate_iters));
-        }
-        if !cfg.min_batch_fraction.is_finite()
-            || cfg.min_batch_fraction <= 0.0
-            || cfg.min_batch_fraction > 1.0
-        {
-            return Err(ConfigError::BadBatchFraction(cfg.min_batch_fraction));
-        }
-        if !(1000..=10000).contains(&cfg.safety_margin_permille) {
-            return Err(ConfigError::BadSafetyMargin(cfg.safety_margin_permille));
         }
         if cfg.min_samples == 0 {
             return Err(ConfigError::BadMinSamples(cfg.min_samples));
@@ -405,8 +332,12 @@ mod tests {
         assert_eq!(cfg.spec.memory_bytes, 2 << 30);
         assert_eq!(cfg.spec.name, def.spec.name);
         assert!(!cfg.slo_aware);
-        assert_eq!(cfg.aging_rate, def.aging_rate);
         assert_eq!(cfg.link_domain_gpus(), 2);
+        // The aging rate is a constant, so `--aging-rate` is no cluster
+        // flag: callers refuse it and this parser never reads it.
+        assert!(!ClusterConfig::FLAGS.contains(&"aging-rate"));
+        let aged = ClusterConfig::from_flags(&flags(&[("aging-rate", "1.0")])).unwrap();
+        assert_eq!(format!("{aged:?}"), format!("{def:?}"));
         let err = ClusterConfig::from_flags(&flags(&[("slo-aware", "maybe")])).unwrap_err();
         assert!(err.contains("--slo-aware"), "{err}");
         let err = ClusterConfig::from_flags(&flags(&[("gpus", "0")])).unwrap_err();

@@ -81,7 +81,7 @@ impl Cluster {
     /// keeps an elastic job admissible when its full-batch minimum does
     /// not.
     pub(crate) fn ladder_floor_fits(&mut self, spec: &JobSpec) -> bool {
-        let ladder = elastic_batches(spec.batch, self.cfg.min_batch_fraction);
+        let ladder = elastic_batches(spec.batch);
         let floor = *ladder.last().expect("ladder is never empty");
         self.cache.estimate(spec, floor).1.min <= self.cfg.spec.memory_bytes
     }
@@ -108,9 +108,9 @@ impl Cluster {
         }
         let waiting: Vec<usize> = s.pending_elastic.values().copied().collect();
         for job in waiting {
-            let ladder = elastic_batches(s.jobs[job].spec.batch, self.cfg.min_batch_fraction);
+            let ladder = elastic_batches(s.jobs[job].spec.batch);
             if ladder.len() < 2 {
-                // The fraction allows no shrinking — ever. File the job
+                // A batch of 1 cannot shrink — ever. File the job
                 // under an unreachable floor so the gate above can still
                 // close.
                 if elastic(s, job).ladder_floor_min.is_none() {
@@ -198,7 +198,7 @@ impl Cluster {
     /// the current batch and hands the winner to [`Cluster::rebatch`].
     fn try_regrow(&mut self, s: &mut Session, job: usize, now: Time) -> bool {
         let j = &s.jobs[job];
-        let above: Vec<usize> = elastic_batches(j.spec.batch, self.cfg.min_batch_fraction)
+        let above: Vec<usize> = elastic_batches(j.spec.batch)
             .into_iter()
             .filter(|&b| b > j.cur_batch)
             .collect();
@@ -370,7 +370,7 @@ impl Cluster {
             .collect();
         candidates.sort_by_key(|&c| (jobs[c].spec.priority, c));
         for v in candidates {
-            let ladder = elastic_batches(s.jobs[v].spec.batch, self.cfg.min_batch_fraction);
+            let ladder = elastic_batches(s.jobs[v].spec.batch);
             let cur = s.jobs[v].cur_batch;
             // The ladder is descending: the first rung under the current
             // batch is the smallest shrink that frees any memory.

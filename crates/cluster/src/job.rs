@@ -184,6 +184,11 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
+    /// The latest accepted `arrival_time`, in seconds (about 31.7 years).
+    /// The nanosecond clock saturates near 1.8 × 10¹⁰ s, so a later
+    /// arrival would leave no room for the job's own iterations.
+    pub const MAX_ARRIVAL_S: f64 = 1e9;
+
     /// The mini-batch slice each replica trains: `batch / gpus`, rounded
     /// up and never below 1.
     pub fn replica_batch(&self) -> usize {
@@ -252,13 +257,10 @@ impl JobSpec {
     }
 
     /// Checks that the spec could ever be scheduled on a cluster of
-    /// `cluster_gpus` devices whose elastic batch floor is
-    /// `min_batch_fraction` (pass the cluster's configured fraction; it
-    /// only constrains jobs marked `elastic`) and whose widest
-    /// interconnect link domain spans `link_domain_gpus` devices (pass
-    /// `cluster_gpus` for a flat interconnect; it only constrains
-    /// inference gangs). Every input boundary — job files, wire
-    /// submissions — runs this one validator.
+    /// `cluster_gpus` devices whose widest interconnect link domain spans
+    /// `link_domain_gpus` devices (pass `cluster_gpus` for a flat
+    /// interconnect; it only constrains inference gangs). Every input
+    /// boundary — job files, wire submissions — runs this one validator.
     ///
     /// # Errors
     ///
@@ -277,10 +279,9 @@ impl JobSpec {
     pub fn validate(
         &self,
         cluster_gpus: usize,
-        min_batch_fraction: f64,
         link_domain_gpus: usize,
     ) -> Result<(), JobFileError> {
-        if !self.arrival_time.is_finite() || self.arrival_time < 0.0 {
+        if !(0.0..=JobSpec::MAX_ARRIVAL_S).contains(&self.arrival_time) {
             return Err(JobFileError::BadArrival {
                 job: self.name.clone(),
                 arrival_time: self.arrival_time,
@@ -309,7 +310,7 @@ impl JobSpec {
             });
         }
         if self.elastic {
-            let floor = *capuchin::elastic_batches(self.batch, min_batch_fraction)
+            let floor = *capuchin::elastic_batches(self.batch)
                 .last()
                 .expect("ladder is never empty");
             if floor < self.gpus {
@@ -414,8 +415,9 @@ pub enum JobFileError {
     Parse(String),
     /// The file parsed but contains no jobs.
     Empty,
-    /// A job's arrival time is negative or not finite: the simulated
-    /// clock starts at zero and cannot schedule an infinite instant.
+    /// A job's arrival time is negative, not finite, or past
+    /// [`JobSpec::MAX_ARRIVAL_S`]: the simulated clock starts at zero and
+    /// cannot schedule an instant beyond its range.
     BadArrival {
         /// Name of the offending job.
         job: String,
@@ -448,14 +450,14 @@ pub enum JobFileError {
         /// GPUs the cluster has.
         cluster: usize,
     },
-    /// An elastic gang's batch floor (`batch × min_batch_fraction`) is
+    /// An elastic gang's batch floor (a quarter of the batch) is
     /// narrower than the gang itself, which would drive the per-replica
     /// batch below one sample — the replica clamp would then silently
     /// train *more* samples than the job asked for.
     ElasticFloorTooSmall {
         /// Name of the offending job.
         job: String,
-        /// The elastic batch floor (`ceil(batch × min_batch_fraction)`).
+        /// The elastic batch floor (`batch.div_ceil(4)`).
         floor: usize,
         /// Replicas the floor must still cover with ≥ 1 sample each.
         gpus: usize,
@@ -510,8 +512,9 @@ impl std::fmt::Display for JobFileError {
             JobFileError::Empty => write!(f, "job file contains no jobs"),
             JobFileError::BadArrival { job, arrival_time } => write!(
                 f,
-                "job `{job}`: arrival_time must be a finite number of seconds \
-                 at or after 0, got {arrival_time}"
+                "job `{job}`: arrival_time must be a number of seconds from 0 \
+                 to {}, got {arrival_time}",
+                JobSpec::MAX_ARRIVAL_S
             ),
             JobFileError::ZeroBatch { job } => {
                 write!(
@@ -535,8 +538,8 @@ impl std::fmt::Display for JobFileError {
             JobFileError::ElasticFloorTooSmall { job, floor, gpus } => write!(
                 f,
                 "elastic job `{job}`: the minimum-batch floor {floor} cannot cover \
-                 {gpus} replicas with at least 1 sample each (raise --min-batch-frac \
-                 or shrink the gang)"
+                 {gpus} replicas with at least 1 sample each (the floor is a quarter \
+                 of the batch: raise the batch or shrink the gang)"
             ),
             JobFileError::BadSlo { job, slo_ms } => write!(
                 f,
@@ -585,7 +588,6 @@ impl std::error::Error for JobFileError {}
 pub fn load_jobs(
     json: &str,
     cluster_gpus: usize,
-    min_batch_fraction: f64,
     link_domain_gpus: usize,
 ) -> Result<Vec<JobSpec>, JobFileError> {
     let jobs: Vec<JobSpec> =
@@ -594,7 +596,7 @@ pub fn load_jobs(
         return Err(JobFileError::Empty);
     }
     for job in &jobs {
-        job.validate(cluster_gpus, min_batch_fraction, link_domain_gpus)?;
+        job.validate(cluster_gpus, link_domain_gpus)?;
     }
     Ok(jobs)
 }
@@ -919,14 +921,14 @@ mod tests {
     fn job_files_round_trip() {
         let jobs = synthetic_jobs(4, 7, 1.0);
         let json = serde_json::to_string_pretty(&jobs).unwrap();
-        let back = load_jobs(&json, 4, 0.25, 4).unwrap();
+        let back = load_jobs(&json, 4, 4).unwrap();
         assert_eq!(
             serde_json::to_string(&jobs).unwrap(),
             serde_json::to_string(&back).unwrap()
         );
-        assert_eq!(load_jobs("[]", 4, 0.25, 4), Err(JobFileError::Empty));
+        assert_eq!(load_jobs("[]", 4, 4), Err(JobFileError::Empty));
         assert!(matches!(
-            load_jobs("not json", 4, 0.25, 4),
+            load_jobs("not json", 4, 4),
             Err(JobFileError::Parse(_))
         ));
     }
@@ -939,7 +941,7 @@ mod tests {
             "policy": "Capuchin", "iters": 3, "priority": 0,
             "arrival_time": 0.0
         }]"#;
-        let jobs = load_jobs(json, 2, 0.25, 2).unwrap();
+        let jobs = load_jobs(json, 2, 2).unwrap();
         assert_eq!(jobs[0].gpus, 1);
         assert_eq!(jobs[0].replica_batch(), 64);
         // ...and no "elastic" key means a rigid job.
@@ -961,25 +963,36 @@ mod tests {
             )
         };
         assert!(matches!(
-            load_jobs(&spec("1e400", 8, 1), 4, 0.25, 4),
+            load_jobs(&spec("1e400", 8, 1), 4, 4),
             Err(JobFileError::BadArrival { arrival_time, .. }) if arrival_time.is_infinite()
         ));
+        // Past the clock's range: the nanosecond clock would saturate.
+        let err = load_jobs(&spec("1e12", 8, 1), 4, 4).unwrap_err();
         assert_eq!(
-            load_jobs(&spec("-3.0", 8, 1), 4, 0.25, 4),
+            err,
+            JobFileError::BadArrival {
+                job: "j".into(),
+                arrival_time: 1e12
+            }
+        );
+        assert!(err.to_string().contains("from 0 to 1000000000"), "{err}");
+        assert!(load_jobs(&spec("1e9", 8, 1), 4, 4).is_ok());
+        assert_eq!(
+            load_jobs(&spec("-3.0", 8, 1), 4, 4),
             Err(JobFileError::BadArrival {
                 job: "j".into(),
                 arrival_time: -3.0
             })
         );
         assert_eq!(
-            load_jobs(&spec("0.0", 0, 1), 4, 0.25, 4),
+            load_jobs(&spec("0.0", 0, 1), 4, 4),
             Err(JobFileError::ZeroBatch { job: "j".into() })
         );
         assert_eq!(
-            load_jobs(&spec("0.0", 8, 0), 4, 0.25, 4),
+            load_jobs(&spec("0.0", 8, 0), 4, 4),
             Err(JobFileError::ZeroIters { job: "j".into() })
         );
-        assert!(load_jobs(&spec("0.0", 1, 1), 4, 0.25, 4).is_ok());
+        assert!(load_jobs(&spec("0.0", 1, 1), 4, 4).is_ok());
     }
 
     #[test]
@@ -992,23 +1005,23 @@ mod tests {
             )
         };
         assert_eq!(
-            load_jobs(&gang(0), 4, 0.25, 4),
+            load_jobs(&gang(0), 4, 4),
             Err(JobFileError::ZeroGpus { job: "g".into() })
         );
         assert_eq!(
-            load_jobs(&gang(8), 4, 0.25, 4),
+            load_jobs(&gang(8), 4, 4),
             Err(JobFileError::GangTooLarge {
                 job: "g".into(),
                 gpus: 8,
                 cluster: 4
             })
         );
-        let err = load_jobs(&gang(8), 4, 0.25, 4).unwrap_err().to_string();
+        let err = load_jobs(&gang(8), 4, 4).unwrap_err().to_string();
         assert!(
             err.contains("8-GPU gang") && err.contains("4 GPUs"),
             "{err}"
         );
-        assert_eq!(load_jobs(&gang(4), 4, 0.25, 4).unwrap()[0].gpus, 4);
+        assert_eq!(load_jobs(&gang(4), 4, 4).unwrap()[0].gpus, 4);
     }
 
     #[test]
@@ -1020,11 +1033,11 @@ mod tests {
                      "arrival_time": 0.0, "elastic": true}}]"#
             )
         };
-        let jobs = load_jobs(&elastic(128, 4), 4, 0.25, 4).unwrap();
+        let jobs = load_jobs(&elastic(128, 4), 4, 4).unwrap();
         assert!(jobs[0].elastic);
         assert_eq!(jobs[0].replica_batch_at(32), 8);
-        // floor = ceil(8 × 0.25) = 2 < 4 replicas: caught at parse time.
-        let err = load_jobs(&elastic(8, 4), 4, 0.25, 4).unwrap_err();
+        // floor = 8.div_ceil(4) = 2 < 4 replicas: caught at parse time.
+        let err = load_jobs(&elastic(8, 4), 4, 4).unwrap_err();
         assert_eq!(
             err,
             JobFileError::ElasticFloorTooSmall {
@@ -1033,10 +1046,10 @@ mod tests {
                 gpus: 4
             }
         );
-        assert!(err.to_string().contains("--min-batch-frac"), "{err}");
+        assert!(err.to_string().contains("a quarter of the batch"), "{err}");
         // The same shape is fine when rigid: the floor never applies.
         let rigid = elastic(8, 4).replace(r#""elastic": true"#, r#""elastic": false"#);
-        assert!(load_jobs(&rigid, 4, 0.25, 4).is_ok());
+        assert!(load_jobs(&rigid, 4, 4).is_ok());
     }
 
     #[test]
@@ -1051,7 +1064,7 @@ mod tests {
                      {extra}}}]"#
             )
         };
-        let jobs = load_jobs(&infer(""), 4, 0.25, 2).unwrap();
+        let jobs = load_jobs(&infer(""), 4, 2).unwrap();
         assert!(jobs[0].is_inference());
         assert_eq!(jobs[0].slo_nanos(), 250_000_000);
         assert_eq!(jobs[0].max_inflight, 4); // defaulted
@@ -1067,46 +1080,46 @@ mod tests {
             format!("{}\"{key}\": {val}{}", &base[..start], &base[end..])
         };
         assert_eq!(
-            load_jobs(&with("slo_ms", "0.0"), 4, 0.25, 2),
+            load_jobs(&with("slo_ms", "0.0"), 4, 2),
             Err(JobFileError::BadSlo {
                 job: "s".into(),
                 slo_ms: 0.0
             })
         );
         assert!(matches!(
-            load_jobs(&with("slo_ms", "-5.0"), 4, 0.25, 2),
+            load_jobs(&with("slo_ms", "-5.0"), 4, 2),
             Err(JobFileError::BadSlo { .. })
         ));
         assert_eq!(
-            load_jobs(&with("request_rate", "0.0"), 4, 0.25, 2),
+            load_jobs(&with("request_rate", "0.0"), 4, 2),
             Err(JobFileError::BadRequestRate {
                 job: "s".into(),
                 rate: 0.0
             })
         );
         assert_eq!(
-            load_jobs(&with("requests", "0"), 4, 0.25, 2),
+            load_jobs(&with("requests", "0"), 4, 2),
             Err(JobFileError::ZeroRequests { job: "s".into() })
         );
         assert_eq!(
-            load_jobs(&infer(r#", "elastic": true"#), 4, 0.25, 2),
+            load_jobs(&infer(r#", "elastic": true"#), 4, 2),
             Err(JobFileError::ElasticInference { job: "s".into() })
         );
         // A 4-wide inference gang is fine on a flat 4-GPU cluster but not
         // when the widest link domain holds only 2 devices.
         assert_eq!(
-            load_jobs(&infer(r#", "gpus": 4"#), 4, 0.25, 2),
+            load_jobs(&infer(r#", "gpus": 4"#), 4, 2),
             Err(JobFileError::InferenceGangTooWide {
                 job: "s".into(),
                 gpus: 4,
                 domain: 2
             })
         );
-        assert!(load_jobs(&infer(r#", "gpus": 4"#), 4, 0.25, 4).is_ok());
+        assert!(load_jobs(&infer(r#", "gpus": 4"#), 4, 4).is_ok());
         // The same width is fine for training: only inference rounds put
         // the inter-domain hop on a latency-critical path.
         let training = infer(r#", "gpus": 4"#).replace(r#""class": "Inference","#, "");
-        assert!(load_jobs(&training, 4, 0.25, 2).is_ok());
+        assert!(load_jobs(&training, 4, 2).is_ok());
         // Every error message names the job and the accepted shape.
         for bad in [
             with("slo_ms", "0.0"),
@@ -1115,7 +1128,7 @@ mod tests {
             infer(r#", "elastic": true"#),
             infer(r#", "gpus": 4"#),
         ] {
-            let msg = load_jobs(&bad, 4, 0.25, 2).unwrap_err().to_string();
+            let msg = load_jobs(&bad, 4, 2).unwrap_err().to_string();
             assert!(msg.contains("`s`"), "{msg}");
         }
     }
@@ -1131,7 +1144,7 @@ mod tests {
         assert!(a.iter().all(|j| j.is_inference()));
         // The generated workload round-trips through the strict parser.
         let json = serde_json::to_string(&a).unwrap();
-        assert!(load_jobs(&json, 4, 0.25, 1).is_ok());
+        assert!(load_jobs(&json, 4, 1).is_ok());
         for w in a.windows(2) {
             assert!(w[0].arrival_time <= w[1].arrival_time);
         }

@@ -17,12 +17,12 @@
 //!   mid-run OOM aborts impossible for admitted jobs.
 //! * **Placement** ([`StrategyKind`]) — the order in which the waiting
 //!   queue meets per-GPU headroom: strict FIFO first-fit, or best-fit
-//!   memory bin-packing with priority aging. A job with
-//!   [`JobSpec::gpus`]` = k > 1` is a data-parallel *gang*: admission
-//!   measures the per-replica footprint (at batch `batch / k`) and the
-//!   pick names a complete `k`-GPU subset, granted atomically — all or
-//!   none, preferring one link domain under best-fit so the gang's
-//!   gradient allreduce rides a private peer lane.
+//!   memory bin-packing with priority aging (0.1 points per second
+//!   waited). A job with [`JobSpec::gpus`]` = k > 1` is a data-parallel
+//!   *gang*: admission measures the per-replica footprint (at batch
+//!   `batch / k`) and the pick names a complete `k`-GPU subset, granted
+//!   atomically — all or none, preferring one link domain under best-fit
+//!   so the gang's gradient allreduce rides a private peer lane.
 //! * **Simulation** ([`Cluster`]) — one deterministic event clock replays
 //!   validated per-iteration wall times with a contention model that
 //!   re-prices in-flight iterations at every residency change, and
@@ -44,12 +44,11 @@
 //!   replaying its recorded iterations from the saved cursor. With
 //!   [`ClusterConfig::elastic`] on, a job marked [`JobSpec::elastic`] that
 //!   fits nowhere at its full batch is admitted at a reduced batch
-//!   (bisected down a halving ladder, floored at
-//!   [`ClusterConfig::min_batch_fraction`]) with its iteration count
-//!   extended so total samples trained is preserved exactly, and re-grows
-//!   toward the full batch at completed-iteration boundaries when
-//!   headroom frees up — paying the same checkpoint/restore copy costs
-//!   preemption models.
+//!   (bisected down a halving ladder, floored at a quarter of the batch)
+//!   with its iteration count extended so total samples trained is
+//!   preserved exactly, and re-grows toward the full batch at
+//!   completed-iteration boundaries when headroom frees up — paying the
+//!   same checkpoint/restore copy costs preemption models.
 //!
 //! The simulation core is **online**: [`Cluster::submit`],
 //! [`Cluster::cancel`], [`Cluster::step`]/[`Cluster::advance_to`],
@@ -70,7 +69,6 @@
 //! let cfg = ClusterConfig::builder()
 //!     .gpus(2)
 //!     .elastic(true)
-//!     .min_batch_fraction(0.25)
 //!     .build()
 //!     .unwrap();
 //! let jobs = synthetic_jobs(3, 1, 0.5);
@@ -115,6 +113,4 @@ pub use crate::stats::{
     ClusterStats, ClusterTransfer, GpuStats, JobEvent, JobEventKind, JobOutcome, JobState,
     JobStats, JobStatus, STATS_SCHEMA_VERSION,
 };
-pub use crate::strategy::{
-    aging_permille, effective_priority_permille, CandidateJob, StrategyKind,
-};
+pub use crate::strategy::{effective_priority_permille, CandidateJob, StrategyKind};

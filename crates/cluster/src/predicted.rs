@@ -20,6 +20,10 @@ use crate::session::copy_label::MISPREDICT_CHECKPOINT;
 use crate::session::{EventKind, Phase, Session};
 use crate::stats::{JobEventKind, JobOutcome};
 
+/// The padding on predicted budget targets, in permille: 1150 reserves
+/// 15 % above the raw prediction, so a prediction is never shaved.
+const SAFETY_MARGIN_PERMILLE: u64 = 1150;
+
 /// Per-job record of a predicted admission, created at arrival when the
 /// predictor's key was warm. It outlives a recovery: the stats report
 /// what was predicted and how far off it was.
@@ -60,7 +64,7 @@ impl Cluster {
         let raw = if consult { self.predict(spec) } else { None };
         let (est, base, source, prediction) = match raw {
             Some(raw) => {
-                let padded = raw.with_margin(self.cfg.safety_margin_permille);
+                let padded = raw.with_margin(SAFETY_MARGIN_PERMILLE);
                 // The measured path's rule: tf-ori admission never shrinks.
                 let base = JobNeeds {
                     full: padded.full,
@@ -119,7 +123,7 @@ impl Cluster {
     ) -> Option<Arc<Vec<ReplayIter>>> {
         let est: EstimateSummary = self
             .predict(spec)?
-            .with_margin(self.cfg.safety_margin_permille)
+            .with_margin(SAFETY_MARGIN_PERMILLE)
             .into();
         self.cache.synthesize_replay(spec, &est, budget)
     }

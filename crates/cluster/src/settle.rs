@@ -8,7 +8,7 @@ use crate::admission::AdmissionSource;
 use crate::cluster::Cluster;
 use crate::session::copy_label::{CHECKPOINT, RESTORE};
 use crate::session::{EventKind, Phase, Session};
-use crate::strategy::{aging_permille, pick_victim, ResidentView, StrategyKind};
+use crate::strategy::{pick_victim, ResidentView, StrategyKind};
 
 impl Cluster {
     /// One settle pass after a state change — runs after every
@@ -58,9 +58,8 @@ impl Cluster {
                     reserved: jobs[v].reserved,
                     gpus: &jobs[v].gpus_held,
                 });
-            let aging = aging_permille(self.cfg.aging_rate);
             let work = &mut s.counters;
-            if let Some(victim) = pick_victim(waiters, residents, &s.pool, now, aging, work) {
+            if let Some(victim) = pick_victim(waiters, residents, &s.pool, now, work) {
                 // The whole gang checkpoints or none: every replica's
                 // reservation is copied out.
                 let dev = &self.cfg.spec;
@@ -75,7 +74,6 @@ impl Cluster {
     /// gang (the no-deadlock invariant).
     fn place(&mut self, s: &mut Session, now: Time) {
         let (kind, slo_aware) = (self.cfg.strategy, self.cfg.slo_aware);
-        let aging = aging_permille(self.cfg.aging_rate);
         loop {
             // O(1) hopeless check: when the queue's fit floor sits above
             // the best headroom anywhere, every candidate's threshold
@@ -92,13 +90,13 @@ impl Cluster {
             let picked = if kind == StrategyKind::FifoFirstFit {
                 // Head-of-line blocking: only the oldest waiter counts.
                 let head = s.pending.values().next().map(stamped);
-                kind.pick(head, &s.pool, now, aging, work)
+                kind.pick(head, &s.pool, now, work)
             } else {
                 // Best-fit's pick ignores candidate order and candidates
                 // that fit nowhere, so a threshold-index range feeds it
                 // only those whose threshold clears some device.
                 let eligible = s.by_threshold.range(..=(cap, u64::MAX)).map(|(_, j)| j);
-                kind.pick(eligible.map(stamped), &s.pool, now, aging, work)
+                kind.pick(eligible.map(stamped), &s.pool, now, work)
             };
             let Some((job, gang)) = picked else {
                 break;

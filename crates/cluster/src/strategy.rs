@@ -78,15 +78,15 @@ impl CandidateJob {
     }
 
     /// Rank key of a waiting job, compared descending: effective priority
-    /// (aged by `aging_permille` per second since `arrival`) plus the SLO
-    /// boost, then raw priority, then earlier queue entry, then lower job
-    /// index. The job index breaks every tie, so the order is total. Both
-    /// best-fit placement and the preemption pass's waiter order use it.
-    pub(crate) fn rank(&self, now: Time, aging_permille: u64) -> RankKey {
+    /// (aged since `arrival`, see [`effective_priority_permille`]) plus the
+    /// SLO boost, then raw priority, then earlier queue entry, then lower
+    /// job index. The job index breaks every tie, so the order is total.
+    /// Both best-fit placement and the preemption pass's waiter order use
+    /// it.
+    pub(crate) fn rank(&self, now: Time) -> RankKey {
         let waited = now.saturating_since(self.arrival);
-        let eff = effective_priority_permille(self.priority, aging_permille, waited);
         (
-            eff + self.boost_permille as u128,
+            effective_priority_permille(self.priority, waited) + self.boost_permille,
             self.priority,
             Reverse(self.arrival.as_nanos()),
             Reverse(self.job),
@@ -95,28 +95,18 @@ impl CandidateJob {
 }
 
 /// See [`CandidateJob::rank`].
-pub(crate) type RankKey = (u128, u32, Reverse<u64>, Reverse<usize>);
+pub(crate) type RankKey = (u64, u32, Reverse<u64>, Reverse<usize>);
 
-/// Permille fixed-point aging rate: `0.1` points/second becomes `100`.
-/// Mirrors the planner's permille margin scaling so effective priorities
-/// compare in exact integer arithmetic on every platform.
-pub fn aging_permille(aging_rate: f64) -> u64 {
-    (aging_rate * 1000.0).round().max(0.0) as u64
-}
+/// Waiting time that ages a job by one permille of a priority point:
+/// 10 ms, so priorities age by 0.1 points per second waited.
+const AGING_NS_PER_PERMILLE: u64 = 10_000_000;
 
-/// Effective priority in permille fixed point:
-/// `priority × 1000 + aging_permille × waited_seconds`, computed exactly
-/// over nanoseconds so comparisons are total and platform-independent
-/// (the old `f64` compare could tie-break differently across platforms
-/// once waits grew large). The product is divided in u64 when it fits
-/// and in u128 when it does not; both give the same floor.
-pub fn effective_priority_permille(priority: u32, aging_permille: u64, waited: Duration) -> u128 {
-    let ns = waited.as_nanos();
-    let aged = match aging_permille.checked_mul(ns) {
-        Some(product) => (product / 1_000_000_000) as u128,
-        None => aging_permille as u128 * ns as u128 / 1_000_000_000,
-    };
-    (priority as u128) * 1000 + aged
+/// Effective priority in permille fixed point: `priority × 1000` plus one
+/// permille per 10 ms waited, in exact integer arithmetic so comparisons
+/// are total and platform-independent. It fits in u64 for every priority
+/// and wait: at most `u32::MAX × 1000 + u64::MAX / 10⁷`, below 2⁴³.
+pub fn effective_priority_permille(priority: u32, waited: Duration) -> u64 {
+    priority as u64 * 1000 + waited.as_nanos() / AGING_NS_PER_PERMILLE
 }
 
 /// SLO-slack priority boost in permille fixed point: the fraction of its
@@ -174,7 +164,7 @@ impl StrategyKind {
     /// FIFO reads only the first candidate, so a long backlog costs
     /// nothing to probe. Best-fit scans the candidates once for the
     /// highest-ranked one (see [`StrategyKind::BestFit`]; priorities age
-    /// by `aging_permille` per second waited) whose gang exists
+    /// by 0.1 points per second waited) whose gang exists
     /// ([`CandidateJob::fits`]). The device count is probed only for a
     /// candidate that outranks the best so far, and the gang search runs
     /// once, on the winner. The job index breaks every tie, so the pick depends
@@ -185,7 +175,6 @@ impl StrategyKind {
         cands: impl IntoIterator<Item = CandidateJob>,
         pool: &GpuPool,
         now: Time,
-        aging_permille: u64,
         work: &mut SettleCounters,
     ) -> Option<(usize, Vec<usize>)> {
         work.picks += 1;
@@ -196,7 +185,7 @@ impl StrategyKind {
         }
         let mut best: Option<(RankKey, CandidateJob)> = None;
         for c in cands {
-            let key = c.rank(now, aging_permille);
+            let key = c.rank(now);
             if best.as_ref().is_none_or(|(b, _)| key > *b) && c.fits(pool) {
                 best = Some((key, c));
             }
@@ -320,11 +309,10 @@ pub fn pick_victim<'a>(
     residents: impl IntoIterator<Item = ResidentView<'a>>,
     pool: &GpuPool,
     now: Time,
-    aging_permille: u64,
     work: &mut SettleCounters,
 ) -> Option<usize> {
     work.preemption_checks += 1;
-    let ranked = |c: CandidateJob| (c.rank(now, aging_permille), c);
+    let ranked = |c: CandidateJob| (c.rank(now), c);
     let mut waiters: Vec<_> = waiters.into_iter().map(ranked).collect();
     waiters.sort_unstable_by_key(|&(key, _)| Reverse(key));
     let (mut residents, mut victims) = (Some(residents), Vec::new());
@@ -344,7 +332,7 @@ pub fn pick_victim<'a>(
             victims.extend(r);
             victims.sort_unstable_by_key(|v: &ResidentView| (v.priority, v.job));
         }
-        let outranked = |v: &&ResidentView| (v.priority as u128) * 1000 < ep;
+        let outranked = |v: &&ResidentView| v.priority as u64 * 1000 < ep;
         for v in victims.iter().take_while(outranked) {
             work.victim_probes += 1;
             // Held devices just below the threshold that the eviction lifts.
@@ -398,49 +386,37 @@ mod tests {
     #[test]
     fn effective_priority_is_exact_integer_permille() {
         // 0.1/s aging over 6 seconds = 600 permille, computed exactly.
-        assert_eq!(aging_permille(0.1), 100);
         assert_eq!(
-            effective_priority_permille(2, 100, Duration::from_micros(6_000_000)),
+            effective_priority_permille(2, Duration::from_micros(6_000_000)),
             2_600
         );
         // Sub-permille remainders truncate deterministically.
+        assert_eq!(effective_priority_permille(0, Duration::from_nanos(19)), 0);
+        // The largest priority and wait still fit in u64.
         assert_eq!(
-            effective_priority_permille(0, 100, Duration::from_nanos(19)),
-            0
-        );
-        // Extreme waits fall back to u128 instead of losing precision.
-        assert_eq!(
-            effective_priority_permille(u32::MAX, u64::MAX, Duration::from_nanos(u64::MAX)),
-            u32::MAX as u128 * 1000 + (u64::MAX as u128 * u64::MAX as u128) / 1_000_000_000
+            effective_priority_permille(u32::MAX, Duration::from_nanos(u64::MAX)),
+            u32::MAX as u64 * 1000 + u64::MAX / 10_000_000
         );
     }
 
-    /// The u64 fast path and the u128 fallback meet at the largest wait
-    /// whose product with the rate fits in u64; on both sides of it the
-    /// result equals the u128 formula.
+    /// The one division by 10 ms equals the rate-times-wait formula at
+    /// 0.1 points per second (`100 × ns / 10⁹`, in u128) exactly, on both
+    /// sides of every 10 ms step and at the longest wait.
     #[test]
-    fn aging_is_exact_on_both_sides_of_the_u64_overflow() {
-        let u128_formula =
-            |p: u32, a: u64, ns: u64| p as u128 * 1000 + a as u128 * ns as u128 / 1_000_000_000;
-        for a in [2u64, 7, 100, 1000, 999_999_937, u64::MAX] {
-            let edge = u64::MAX / a;
-            assert!(a.checked_mul(edge).is_some() && a.checked_mul(edge + 1).is_none());
-            for ns in [
-                0,
-                1,
-                edge - 1,
-                edge,
-                edge + 1,
-                edge.saturating_add(1 << 20),
-                u64::MAX,
-            ] {
-                for p in [0u32, 3, u32::MAX] {
-                    assert_eq!(
-                        effective_priority_permille(p, a, Duration::from_nanos(ns)),
-                        u128_formula(p, a, ns),
-                        "priority {p}, rate {a}, waited {ns} ns"
-                    );
-                }
+    fn aging_one_division_equals_the_rate_times_wait_formula() {
+        let u128_formula = |p: u32, ns: u64| p as u128 * 1000 + 100 * ns as u128 / 1_000_000_000;
+        let mut waits = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for steps in [1u64, 2, 7, 100, 6_000, 1 << 40, u64::MAX / 10_000_000] {
+            let at = steps * 10_000_000;
+            waits.extend([at - 1, at, at.saturating_add(1)]);
+        }
+        for ns in waits {
+            for p in [0u32, 3, u32::MAX] {
+                assert_eq!(
+                    effective_priority_permille(p, Duration::from_nanos(ns)) as u128,
+                    u128_formula(p, ns),
+                    "priority {p}, waited {ns} ns"
+                );
             }
         }
     }

@@ -67,10 +67,8 @@ fn cfg(gpus: usize, capacity: u64, elastic: bool, capuchin: bool) -> ClusterConf
             AdmissionMode::TfOri
         })
         .strategy(StrategyKind::FifoFirstFit)
-        .aging_rate(0.1)
         .validate_iters(3)
         .elastic(elastic)
-        .min_batch_fraction(0.25)
         .build()
         .expect("valid config")
 }

@@ -75,7 +75,6 @@ proptest! {
                 } else {
                     StrategyKind::BestFit
                 })
-                .aging_rate(0.1)
                 .validate_iters(3)
                 .interconnect(ic)
                 .build()
@@ -144,7 +143,6 @@ proptest! {
                 } else {
                     StrategyKind::BestFit
                 })
-                .aging_rate(0.1)
                 .validate_iters(3)
                 .interconnect(ic)
                 .build()

@@ -90,11 +90,9 @@ fn cfg(gpus: usize, capacity: u64, slo_aware: bool, elastic: bool) -> ClusterCon
         .spec(DeviceSpec::p100_pcie3().with_memory(capacity))
         .admission(AdmissionMode::TfOri)
         .strategy(StrategyKind::BestFit)
-        .aging_rate(0.1)
         .validate_iters(3)
         .preemption(true)
         .elastic(elastic)
-        .min_batch_fraction(0.25)
         .slo_aware(slo_aware)
         .build()
         .expect("valid config")

@@ -64,7 +64,6 @@ fn cfg(gpus: usize, capacity: u64, capuchin: bool) -> ClusterConfig {
             AdmissionMode::TfOri
         })
         .strategy(StrategyKind::FifoFirstFit)
-        .aging_rate(0.1)
         .build()
         .expect("valid config")
 }

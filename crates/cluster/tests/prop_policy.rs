@@ -195,7 +195,6 @@ fn legacy_workload_matches_prerefactor_fixture() {
         .spec(DeviceSpec::p100_pcie3().with_memory(16 << 30))
         .admission(AdmissionMode::Capuchin)
         .strategy(StrategyKind::FifoFirstFit)
-        .aging_rate(0.1)
         .build()
         .expect("cluster config");
     let stats = Cluster::new(cfg).run(&jobs);
@@ -211,7 +210,6 @@ fn legacy_pcie_workload_matches_prerefactor_fixture() {
         .spec(DeviceSpec::p100_pcie3().with_memory(16 << 30))
         .admission(AdmissionMode::Capuchin)
         .strategy(StrategyKind::FifoFirstFit)
-        .aging_rate(0.1)
         .preemption(true)
         .elastic(true)
         .interconnect(capuchin_sim::InterconnectSpec::parse("pcie").expect("pcie spec"))

@@ -146,11 +146,10 @@ proptest! {
     fn predictive_off_is_inert_whatever_the_knobs_say(
         n in 2usize..6,
         seed in 0u64..4,
-        margin in 1000u64..3000,
         min_samples in 1u64..8,
     ) {
-        // (4) With the predictor disabled, the margin and sample knobs
-        // are dead weight: stats are byte-identical to the default
+        // (4) With the predictor disabled, the sample knob is dead
+        // weight: stats are byte-identical to the default
         // builder's on the same seed, and no predictor counter moves.
         let jobs = synthetic_jobs(n, seed, 1.0);
         let base = ClusterConfig::builder()
@@ -160,7 +159,6 @@ proptest! {
         let off = ClusterConfig::builder()
             .gpus(2)
             .predictive(false)
-            .safety_margin_permille(margin)
             .min_samples(min_samples)
             .build()
             .expect("off config");

@@ -67,7 +67,6 @@ proptest! {
                 .spec(DeviceSpec::p100_pcie3().with_memory(capacity_gib_halves << 29))
                 .admission(AdmissionMode::TfOri)
                 .strategy(StrategyKind::BestFit)
-                .aging_rate(1.0) // waiting high-priority jobs overtake quickly
                 .validate_iters(3)
                 .preemption(preemption)
                 .build()

@@ -31,8 +31,7 @@
 
 use capuchin_cluster::strategy::{pick_victim, slo_boost_permille, ResidentView, SettleCounters};
 use capuchin_cluster::{
-    aging_permille, effective_priority_permille, AdmissionMode, CandidateJob, Cluster,
-    ClusterConfig, GpuPool, StrategyKind,
+    AdmissionMode, CandidateJob, Cluster, ClusterConfig, GpuPool, StrategyKind,
 };
 use capuchin_sim::Time;
 use proptest::prelude::*;
@@ -84,16 +83,21 @@ fn leftover(headroom: u64, full_need: u64) -> u64 {
     headroom - headroom.min(full_need)
 }
 
+/// The reference effective priority plus SLO boost, in permille: 0.1
+/// points per second waited, as rate × wait over nanoseconds in u128 —
+/// written apart from the library's one-division form so the diffs below
+/// compare two implementations.
+fn brute_priority(c: &CandidateJob, now: Time) -> u128 {
+    let ns = now.saturating_since(c.arrival).as_nanos() as u128;
+    c.priority as u128 * 1000 + 100 * ns / 1_000_000_000 + c.boost_permille as u128
+}
+
 /// Best-fit candidates sorted by descending effective priority.
-fn ranked(aging_rate: f64, pending: &[CandidateJob], now: Time) -> Vec<CandidateJob> {
-    let permille = aging_permille(aging_rate);
+fn ranked(pending: &[CandidateJob], now: Time) -> Vec<CandidateJob> {
     let mut order: Vec<CandidateJob> = pending.to_vec();
     order.sort_by(|a, b| {
-        let ea = effective_priority_permille(a.priority, permille, now.saturating_since(a.arrival))
-            + a.boost_permille as u128;
-        let eb = effective_priority_permille(b.priority, permille, now.saturating_since(b.arrival))
-            + b.boost_permille as u128;
-        eb.cmp(&ea)
+        brute_priority(b, now)
+            .cmp(&brute_priority(a, now))
             .then(b.priority.cmp(&a.priority))
             .then(a.arrival.cmp(&b.arrival))
             .then(a.job.cmp(&b.job))
@@ -104,7 +108,6 @@ fn ranked(aging_rate: f64, pending: &[CandidateJob], now: Time) -> Vec<Candidate
 /// The pre-index placement: re-scans every GPU per probe.
 fn pick_brute(
     kind: StrategyKind,
-    aging_rate: f64,
     pending: &[CandidateJob],
     gpus: &[GpuView],
     now: Time,
@@ -120,7 +123,7 @@ fn pick_brute(
             .collect();
         return (take.len() == head.gpus.max(1)).then_some((head.job, take));
     }
-    for cand in ranked(aging_rate, pending, now) {
+    for cand in ranked(pending, now) {
         let k = cand.gpus.max(1);
         let mut fitting: Vec<&GpuView> = gpus.iter().filter(|g| fits(&cand, g)).collect();
         if fitting.len() < k {
@@ -172,13 +175,11 @@ struct Resident {
 /// outranks, sort them by `(priority, job)` and take the first whose
 /// eviction opens its full gang, counting fitting devices by scanning.
 fn victim_brute(
-    aging_rate: f64,
     waiters: &[CandidateJob],
     residents: &[Resident],
     gpus: &[GpuView],
     now: Time,
 ) -> Option<usize> {
-    let permille = aging_permille(aging_rate);
     let fits = |w: &CandidateJob, freed: Option<&Resident>| {
         let Some(t) = w.fit_threshold() else {
             return false;
@@ -193,13 +194,11 @@ fn victim_brute(
             .count();
         count >= w.gpus.max(1)
     };
-    for w in ranked(aging_rate, waiters, now) {
+    for w in ranked(waiters, now) {
         if fits(&w, None) {
             continue;
         }
-        let waited = now.saturating_since(w.arrival);
-        let ep =
-            effective_priority_permille(w.priority, permille, waited) + w.boost_permille as u128;
+        let ep = brute_priority(&w, now);
         let mut victims: Vec<&Resident> = residents
             .iter()
             .filter(|v| (v.priority as u128) * 1000 < ep)
@@ -213,7 +212,9 @@ fn victim_brute(
 }
 
 /// Candidate knobs: `(priority, arrival slot, gang width, full-need
-/// eighths, min-need eighths, failed-budget eighths)`. Eighths are scaled
+/// eighths, min-need eighths, failed-budget eighths)`. Arrival slots are
+/// 2.5 s apart, so at 0.1 points per second an earlier arrival can
+/// outrank up to 1.75 points of static priority. Eighths are scaled
 /// against the capacity menu below so thresholds land on, above and below
 /// real headroom values.
 type CandKnobs = (u32, u64, usize, u8, u8, Option<u8>);
@@ -231,7 +232,7 @@ fn candidates_from(knobs: &[CandKnobs]) -> Vec<CandidateJob> {
                 // The cluster invariant: min never exceeds full.
                 min_need: (16 * min8 as u64).min(full_need),
                 failed_budget: failed8.map(|f| 16 * f as u64),
-                ..cand(i, slot * 250_000, priority, full_need)
+                ..cand(i, slot * 2_500_000, priority, full_need)
             }
         })
         .collect()
@@ -255,7 +256,6 @@ proptest! {
             (0u32..4, 0u64..8, 1usize..5, 0u8..9, 0u8..9, (0u8..10).prop_map(|v| v.checked_sub(1))),
             0..8,
         ),
-        aging in prop_oneof![Just(0.0), Just(0.1), Just(1.0)],
         now_slot in 0u64..16,
     ) {
         let caps: Vec<u64> = shape.iter().map(|&(c, _)| CAPS[c]).collect();
@@ -303,15 +303,14 @@ proptest! {
         // final pool state.
         let pending = candidates_from(&knobs);
         let views = views(&pool);
-        let now = Time::from_micros(now_slot * 500_000);
-        let permille = aging_permille(aging);
+        let now = Time::from_micros(now_slot * 5_000_000);
         for kind in [StrategyKind::FifoFirstFit, StrategyKind::BestFit] {
             let mut work = SettleCounters::default();
-            let indexed = kind.pick(pending.iter().copied(), &pool, now, permille, &mut work);
+            let indexed = kind.pick(pending.iter().copied(), &pool, now, &mut work);
             // FIFO reads the head only; best-fit reads every candidate once.
             let read = if kind == StrategyKind::BestFit { pending.len() } else { pending.len().min(1) };
             prop_assert_eq!((work.picks, work.candidates), (1, read as u64));
-            let brute = pick_brute(kind, aging, &pending, &views, now, &threshold_fits);
+            let brute = pick_brute(kind, &pending, &views, now, &threshold_fits);
             prop_assert_eq!(
                 indexed.clone(), brute,
                 "{}: indexed pick diverged from brute scan", kind
@@ -319,12 +318,12 @@ proptest! {
             // Picks are pure: the same inputs reproduce the same answer
             // (what makes the cluster's generation-keyed memoization of
             // ladder gang probes sound).
-            let again = kind.pick(pending.iter().copied(), &pool, now, permille, &mut work);
+            let again = kind.pick(pending.iter().copied(), &pool, now, &mut work);
             prop_assert_eq!(indexed, again, "{}: pick is not a pure function", kind);
             // The gang chooser alone is a one-candidate pick, and it
             // finds a gang exactly when the one-probe fit test says so.
             for c in &pending {
-                let brute = pick_brute(kind, aging, &[*c], &views, now, &threshold_fits);
+                let brute = pick_brute(kind, &[*c], &views, now, &threshold_fits);
                 prop_assert_eq!(c.fits(&pool), brute.is_some());
                 prop_assert_eq!(kind.gang(c, &pool).map(|g| (c.job, g)), brute);
             }
@@ -342,8 +341,8 @@ proptest! {
             .collect();
         eligible.sort_unstable();
         let mut work = SettleCounters::default();
-        let full = best.pick(pending.iter().copied(), &pool, now, permille, &mut work);
-        let subset = best.pick(eligible.iter().map(|&(_, j)| pending[j]), &pool, now, permille, &mut work);
+        let full = best.pick(pending.iter().copied(), &pool, now, &mut work);
+        let subset = best.pick(eligible.iter().map(|&(_, j)| pending[j]), &pool, now, &mut work);
         prop_assert_eq!(full, subset, "eligible-subset pick diverged from full-queue pick");
     }
 }
@@ -366,7 +365,6 @@ proptest! {
             (0u32..5, 0u8..9, prop::collection::vec(0usize..16, 1..4)),
             0..8,
         ),
-        aging in prop_oneof![Just(0.0), Just(0.1), Just(1.0)],
         now_slot in 0u64..16,
     ) {
         let caps: Vec<u64> = shape.iter().map(|&(c, _, _)| CAPS[c]).collect();
@@ -388,7 +386,7 @@ proptest! {
                 Resident { job: 100 + i, priority: *priority, reserved: 16 * *eighths as u64, gpus }
             })
             .collect();
-        let now = Time::from_micros(now_slot * 500_000);
+        let now = Time::from_micros(now_slot * 5_000_000);
         // Residents arrive in reverse job order: the choice must not
         // depend on it.
         let views_of = residents.iter().rev().map(|r| ResidentView {
@@ -398,8 +396,8 @@ proptest! {
             gpus: &r.gpus,
         });
         let mut work = SettleCounters::default();
-        let got = pick_victim(waiters.iter().copied(), views_of, &pool, now, aging_permille(aging), &mut work);
-        let want = victim_brute(aging, &waiters, &residents, &views(&pool), now);
+        let got = pick_victim(waiters.iter().copied(), views_of, &pool, now, &mut work);
+        let want = victim_brute(&waiters, &residents, &views(&pool), now);
         prop_assert_eq!(got, want);
         prop_assert_eq!(work.preemption_checks, 1);
         prop_assert!(work.waiters <= waiters.len() as u64);
@@ -436,9 +434,8 @@ fn same_seed_mixed_scale_run_is_byte_identical() {
     );
 }
 
-/// FIFO first-fit, and best-fit at the default 0.1 points/s aging.
-const FIFO: (StrategyKind, f64) = (StrategyKind::FifoFirstFit, 0.0);
-const BEST: (StrategyKind, f64) = (StrategyKind::BestFit, 0.1);
+const FIFO: StrategyKind = StrategyKind::FifoFirstFit;
+const BEST: StrategyKind = StrategyKind::BestFit;
 const T0: Time = Time::ZERO;
 
 fn cand(job: usize, arrival_us: u64, priority: u32, need: u64) -> CandidateJob {
@@ -483,20 +480,15 @@ fn pool_of(gpus: &[GpuView]) -> GpuPool {
 
 /// Runs the indexed pick and asserts it matches the brute reference.
 fn pick_both(
-    (kind, aging): (StrategyKind, f64),
+    kind: StrategyKind,
     pending: &[CandidateJob],
     gpus: &[GpuView],
     now: Time,
 ) -> Option<(usize, Vec<usize>)> {
     let pool = pool_of(gpus);
-    let indexed = kind.pick(
-        pending.iter().copied(),
-        &pool,
-        now,
-        aging_permille(aging),
-        &mut SettleCounters::default(),
-    );
-    let brute = pick_brute(kind, aging, pending, gpus, now, &threshold_fits);
+    let work = &mut SettleCounters::default();
+    let indexed = kind.pick(pending.iter().copied(), &pool, now, work);
+    let brute = pick_brute(kind, pending, gpus, now, &threshold_fits);
     assert_eq!(indexed, brute, "indexed pick diverged from brute scan");
     indexed
 }
@@ -566,20 +558,22 @@ fn failed_budget_blocks_and_unblocks_through_threshold() {
 
 #[test]
 fn aging_protects_old_jobs_from_fresh_urgent_arrivals() {
-    // Priority-0 job waiting since t=0; priority-3 job arrives at t=5s.
-    let pending = [cand(0, 0, 0, 10), cand(1, 5_000_000, 3, 10)];
+    // A priority-0 job waiting since t=0 against a priority-3 job arriving
+    // now, at 0.1 points per second.
+    let at = |secs: u64| Time::from_micros(secs * 1_000_000);
+    let pending = |secs: u64| [cand(0, 0, 0, 10), cand(1, secs * 1_000_000, 3, 10)];
     let gpus = [gpu(0, 10, 0)];
-    let now = Time::from_micros(6_000_000);
-    // Without aging, raw priority wins.
-    let no_aging = (StrategyKind::BestFit, 0.0);
+    // 25 s of waiting (2500 permille) fall short of the newcomer's
+    // 3-point edge...
     assert_eq!(
-        pick_both(no_aging, &pending, &gpus, now),
+        pick_both(BEST, &pending(25), &gpus, at(25)),
         Some((1, vec![0]))
     );
-    // With aging, six seconds of waiting outweigh the newcomer's priority
-    // edge (6000 permille effective vs 3000 + 1s aging).
-    let aged = (StrategyKind::BestFit, 1.0);
-    assert_eq!(pick_both(aged, &pending, &gpus, now), Some((0, vec![0])));
+    // ...40 s (4000 permille) outweigh it.
+    assert_eq!(
+        pick_both(BEST, &pending(40), &gpus, at(40)),
+        Some((0, vec![0]))
+    );
 }
 
 #[test]
@@ -608,7 +602,6 @@ fn slo_boost_outranks_equal_priority_and_is_capped() {
 
 /// Runs [`pick_victim`] and asserts it matches [`victim_brute`].
 fn victim_both(
-    aging: f64,
     waiters: &[CandidateJob],
     residents: &[Resident],
     gpus: &[GpuView],
@@ -622,15 +615,8 @@ fn victim_both(
     });
     let mut work = SettleCounters::default();
     let pool = pool_of(gpus);
-    let got = pick_victim(
-        waiters.iter().copied(),
-        views,
-        &pool,
-        now,
-        aging_permille(aging),
-        &mut work,
-    );
-    assert_eq!(got, victim_brute(aging, waiters, residents, gpus, now));
+    let got = pick_victim(waiters.iter().copied(), views, &pool, now, &mut work);
+    assert_eq!(got, victim_brute(waiters, residents, gpus, now));
     got
 }
 
@@ -647,18 +633,18 @@ fn a_victim_needs_strictly_lower_priority_and_must_open_the_gang() {
     let waiter = [gang(0, 2, 50)];
     // Equal priority is never evicted; one device freed is not a gang.
     let equal = [resident(10, 0, &[0, 1])];
-    assert_eq!(victim_both(0.0, &waiter, &equal, &gpus, T0), None);
+    assert_eq!(victim_both(&waiter, &equal, &gpus, T0), None);
     let half = [resident(11, 0, &[0])];
     let urgent = [CandidateJob {
         priority: 1,
         ..waiter[0]
     }];
-    assert_eq!(victim_both(0.0, &urgent, &half, &gpus, T0), None);
+    assert_eq!(victim_both(&urgent, &half, &gpus, T0), None);
     // A whole-gang victim of lower priority opens both devices; among
     // equal priorities the lower job index goes first.
     let both = [resident(13, 0, &[0, 1]), resident(12, 0, &[0, 1])];
-    assert_eq!(victim_both(0.0, &urgent, &both, &gpus, T0), Some(12));
+    assert_eq!(victim_both(&urgent, &both, &gpus, T0), Some(12));
     // A waiter that fits as-is evicts nobody.
     let roomy = [gpu(0, 64, 0), gpu(1, 64, 0)];
-    assert_eq!(victim_both(0.0, &urgent, &both, &roomy, T0), None);
+    assert_eq!(victim_both(&urgent, &both, &roomy, T0), None);
 }

@@ -79,7 +79,6 @@ proptest! {
                 } else {
                     StrategyKind::BestFit
                 })
-                .aging_rate(0.1)
                 .validate_iters(3)
                 .build()
                 .expect("valid config")

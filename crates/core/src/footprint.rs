@@ -127,28 +127,18 @@ pub fn measure_forward_footprint(
 }
 
 /// Candidate batches for elastic re-batching, descending: the full batch,
-/// then successive halvings, floored at `ceil(batch × min_fraction)` (the
-/// floor itself is always the last candidate). Quantizing to a halving
-/// ladder keeps the number of distinct footprint measurements per job
-/// bounded at `log2(1/min_fraction) + 1` instead of one per integer batch.
-///
-/// `min_fraction` outside `(0, 1]` is clamped into range; a fraction of
-/// `1.0` yields only the full batch (re-batching disabled for the job).
-pub fn elastic_batches(batch: usize, min_fraction: f64) -> Vec<usize> {
+/// its half, and the floor of a quarter of the batch rounded up
+/// (`batch.div_ceil(4)`), each only when it lies strictly below the one
+/// before. Quantizing to this ladder keeps a job at three distinct
+/// footprint measurements at most instead of one per integer batch.
+pub fn elastic_batches(batch: usize) -> Vec<usize> {
     let batch = batch.max(1);
-    let fraction = if min_fraction.is_finite() {
-        min_fraction.clamp(f64::MIN_POSITIVE, 1.0)
-    } else {
-        1.0
-    };
-    let floor = ((batch as f64 * fraction).ceil() as usize).clamp(1, batch);
+    let floor = batch.div_ceil(4);
     let mut ladder = vec![batch];
-    let mut b = batch / 2;
-    while b > floor {
-        ladder.push(b);
-        b /= 2;
+    if batch / 2 > floor {
+        ladder.push(batch / 2);
     }
-    if *ladder.last().expect("ladder starts with batch") > floor {
+    if batch > floor {
         ladder.push(floor);
     }
     ladder
@@ -337,16 +327,29 @@ mod tests {
 
     #[test]
     fn elastic_ladder_halves_down_to_the_floor() {
-        assert_eq!(elastic_batches(256, 0.25), vec![256, 128, 64]);
-        assert_eq!(elastic_batches(256, 0.20), vec![256, 128, 64, 52]);
-        assert_eq!(elastic_batches(48, 0.25), vec![48, 24, 12]);
-        // A fraction of 1.0 disables shrinking.
-        assert_eq!(elastic_batches(64, 1.0), vec![64]);
+        assert_eq!(elastic_batches(256), vec![256, 128, 64]);
+        assert_eq!(elastic_batches(48), vec![48, 24, 12]);
+        assert_eq!(elastic_batches(5), vec![5, 2]);
         // The floor never drops below 1 and the ladder never goes above
-        // the batch, whatever the fraction.
-        assert_eq!(elastic_batches(3, 0.01), vec![3, 1]);
-        assert_eq!(elastic_batches(1, 0.5), vec![1]);
-        assert_eq!(elastic_batches(8, f64::NAN), vec![8]);
+        // the batch.
+        assert_eq!(elastic_batches(3), vec![3, 1]);
+        assert_eq!(elastic_batches(1), vec![1]);
+        assert_eq!(elastic_batches(0), vec![1]);
+        // The floor is the quarter of the batch rounded up, and the ladder
+        // is the halving ladder down to it, for every batch.
+        for batch in 1..=4096usize {
+            let floor = (batch as f64 * 0.25).ceil() as usize;
+            let mut halving = vec![batch];
+            let mut b = batch / 2;
+            while b > floor {
+                halving.push(b);
+                b /= 2;
+            }
+            if *halving.last().unwrap() > floor {
+                halving.push(floor);
+            }
+            assert_eq!(elastic_batches(batch), halving, "batch {batch}");
+        }
     }
 
     #[test]

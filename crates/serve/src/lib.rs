@@ -50,4 +50,4 @@ pub mod server;
 
 pub use crate::client::Client;
 pub use crate::protocol::WIRE_SCHEMA_VERSION;
-pub use crate::server::{serve, ClockMode, ServeConfig, ServerHandle};
+pub use crate::server::{serve, ClockMode, ServeConfig, ServerHandle, USAGE};

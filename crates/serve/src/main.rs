@@ -2,14 +2,10 @@
 //!
 //! ```text
 //! capuchin-serve [--addr 127.0.0.1:7070] [--clock virtual|wall]
-//!                [--gpus <n>] [--memory <bytes|GiB>]
-//!                [--admission tf-ori|capuchin] [--strategy fifo|best-fit]
-//!                [--aging-rate <r>] [--preemption on|off]
-//!                [--interconnect off|pcie|peer<k>]
-//!                [--elastic on|off] [--min-batch-frac <f>]
-//!                [--slo-aware on|off] [--predictive on|off]
-//!                [--safety-margin <permille>] [--min-samples <n>]
+//!                [the cluster flags of `capuchin-cli cluster`]
 //! ```
+//!
+//! `--help` prints the flags (`capuchin_serve::USAGE`).
 //!
 //! Prints one `listening on <addr>` line to stdout once the socket is
 //! bound (drivers parse the ephemeral port from it), then serves until a
@@ -19,33 +15,7 @@
 use std::collections::HashMap;
 
 use capuchin_cluster::STATS_SCHEMA_VERSION;
-use capuchin_serve::{serve, ServeConfig, WIRE_SCHEMA_VERSION};
-
-const USAGE: &str = "\
-capuchin-serve — streaming scheduler daemon (line-delimited JSON over TCP)
-
-USAGE:
-    capuchin-serve [--addr <host:port>] [--clock virtual|wall]
-                   [--gpus <n>] [--memory <bytes|GiB>]
-                   [--admission tf-ori|capuchin] [--strategy fifo|best-fit]
-                   [--aging-rate <r>] [--preemption on|off]
-                   [--interconnect off|pcie|peer<k>]
-                   [--elastic on|off] [--min-batch-frac <f>]
-                   [--slo-aware on|off] [--predictive on|off]
-                   [--safety-margin <permille>] [--min-samples <n>]
-
-The cluster flags, their defaults and their messages are those of
-`capuchin-cli cluster`: 4 × 16 GiB GPUs, capuchin admission, fifo
-placement, SLO-aware scheduling on (--slo-aware off is the SLO-blind
-baseline). --addr defaults to 127.0.0.1:7070; use port 0
-for an ephemeral port (printed on the `listening on` line). --clock
-virtual (the default) only advances the simulated clock inside `drain`,
-so a fixed submission sequence reproduces the batch run byte-for-byte;
---clock wall paces events against real time.
-
-Requests (one JSON object per line): submit, cancel, status, stats,
-subscribe, drain, shutdown.
-";
+use capuchin_serve::{serve, ServeConfig, USAGE, WIRE_SCHEMA_VERSION};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{USAGE}");

@@ -82,6 +82,34 @@ impl ClockMode {
     }
 }
 
+/// The `capuchin-serve` usage text: the flags [`ServeConfig::from_flags`]
+/// accepts.
+pub const USAGE: &str = "\
+capuchin-serve — streaming scheduler daemon (line-delimited JSON over TCP)
+
+USAGE:
+    capuchin-serve [--addr <host:port>] [--clock virtual|wall]
+                   [--gpus <n>] [--memory <bytes|GiB>]
+                   [--admission tf-ori|capuchin] [--strategy fifo|best-fit]
+                   [--preemption on|off] [--interconnect off|pcie|peer<k>]
+                   [--elastic on|off] [--slo-aware on|off]
+                   [--predictive on|off] [--min-samples <n>]
+
+The cluster flags, their defaults and their messages are those of
+`capuchin-cli cluster`: 4 × 16 GiB GPUs, capuchin admission, fifo
+placement, SLO-aware scheduling on (--slo-aware off is the SLO-blind
+baseline). Fixed: priorities age by 0.1 points per second waited, an
+elastic job shrinks to a quarter of its batch at most, and a predicted
+admission is padded by 15%. --addr defaults to 127.0.0.1:7070; use port 0
+for an ephemeral port (printed on the `listening on` line). --clock
+virtual (the default) only advances the simulated clock inside `drain`,
+so a fixed submission sequence reproduces the batch run byte-for-byte;
+--clock wall paces events against real time.
+
+Requests (one JSON object per line): submit, cancel, status, stats,
+subscribe, drain, shutdown.
+";
+
 /// Everything [`serve`] needs.
 #[derive(Debug)]
 pub struct ServeConfig {
@@ -169,7 +197,6 @@ impl ServerHandle {
 #[derive(Debug, Clone, Copy)]
 struct SubmitLimits {
     gpus: usize,
-    min_batch_fraction: f64,
     link_domain_gpus: usize,
 }
 
@@ -177,13 +204,12 @@ impl SubmitLimits {
     fn of(cfg: &ClusterConfig) -> SubmitLimits {
         SubmitLimits {
             gpus: cfg.gpus,
-            min_batch_fraction: cfg.min_batch_fraction,
             link_domain_gpus: cfg.link_domain_gpus(),
         }
     }
 
     fn check(&self, spec: &JobSpec) -> Result<(), JobFileError> {
-        spec.validate(self.gpus, self.min_batch_fraction, self.link_domain_gpus)
+        spec.validate(self.gpus, self.link_domain_gpus)
     }
 }
 

@@ -323,6 +323,10 @@ fn from_flags_rejects_unknown_flags() {
     let cfg = ServeConfig::from_flags(&flags).expect("--slo-aware is accepted");
     assert!(!cfg.cluster.slo_aware);
     assert_eq!(cfg.cluster.gpus, 2);
+    // The aging rate is a constant, not a flag.
+    flags.insert("aging-rate".to_owned(), "1.0".to_owned());
+    let err = ServeConfig::from_flags(&flags).unwrap_err();
+    assert!(err.contains("unknown flag `--aging-rate`"), "{err}");
 }
 
 fn start(clock: ClockMode) -> capuchin_serve::ServerHandle {
@@ -485,6 +489,8 @@ fn specs_without_a_time_or_work_are_refused_and_the_daemon_survives() {
     for (line, needle) in [
         (submit("1e400", 32, 1), "arrival_time"),
         (submit("-3.0", 32, 1), "arrival_time"),
+        // Past the nanosecond clock's range.
+        (submit("1e12", 32, 1), "from 0 to 1000000000"),
         (submit("0.0", 0, 1), "batch 0"),
         (submit("0.0", 32, 0), "0 iterations"),
     ] {
